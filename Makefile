@@ -6,12 +6,12 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all fmt clippy alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke component-smoke clean
+.PHONY: check build test test-all fmt clippy alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke clean
 
 # The full tier-1 gate: release build, tests, formatting, lints, the
-# allocation gate, the fault-, trace-, fuzz-, and component-core smoke
-# runs, and the bench regression gate.
-check: build test fmt clippy alloc-gate fault-smoke trace-smoke fuzz-smoke component-smoke bench-gate
+# allocation gate, the fault-, trace-, and fuzz smoke runs, and the bench
+# regression gate.
+check: build test fmt clippy alloc-gate fault-smoke trace-smoke fuzz-smoke bench-gate
 
 # --workspace so member binaries (mpshare-repro, mpshare-sched,
 # mpshare-fuzz, bench_gate) exist for the smoke gates below even from a
@@ -35,7 +35,8 @@ clippy:
 
 # Allocation gate (tests/alloc_gate.rs): a counting global allocator
 # proves the steady-state engine contract (zero heap allocations per
-# `step()` with recycled scratch) and the warm-planner bound (a warm
+# `step()` with recycled scratch, under MPS and under time slicing) and
+# the warm-planner bound (a warm
 # `plan_warm` call allocates no more than the cold `plan` it replaces).
 # Release mode is required: debug builds run the engine's self-checking
 # cross-validation paths, which allocate by design.
@@ -134,19 +135,6 @@ fuzz-smoke: build
 	./target/release/mpshare-fuzz zoo configs/zoo
 	@rm -rf .fuzz-smoke
 	@echo "fuzz smoke gate passed"
-
-# Component-core smoke gate: every pinned zoo scenario must replay with
-# zero violations and its exact pinned digest under the component/
-# tick-heap core (the default engine loop; the oracle additionally
-# cross-checks each scenario against the legacy `while step()` loop
-# byte-for-byte), the zero-alloc steady-state contract must hold with the
-# engine driven through `SimCore`, and the two-GPU + interconnect
-# composition must run end-to-end with its metrics exported.
-component-smoke: build
-	./target/release/mpshare-fuzz zoo configs/zoo
-	$(CARGO) test -q --release --test alloc_gate component_core_steady_state_is_alloc_free
-	$(CARGO) test -q --release --test component_core
-	@echo "component-core smoke gate passed"
 
 clean:
 	$(CARGO) clean

@@ -1,13 +1,14 @@
 //! Raw simulator and plan-search performance: contention-solver scaling
 //! with client count, end-to-end engine event throughput (including a
-//! gap-heavy run that stresses the resident-set rate cache), exhaustive
+//! gap-heavy run that stresses the resident-set rate cache and a
+//! time-sliced run dominated by quantum rotations), exhaustive
 //! planning at n = 10, annealing on an online-arrival-style queue, and
 //! memoized vs from-scratch plan scoring.
 //!
 //! `make bench` runs this with `MPSHARE_BENCH_JSON` set, committing the
 //! per-scenario medians to `BENCH_engine.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use mpshare_core::{
     anneal, workflow_profile, AnnealConfig, MetricPriority, PlanWarmState, Planner,
     PlannerStrategy, WorkflowProfile,
@@ -70,6 +71,27 @@ fn bench_solver(c: &mut Criterion) {
     group.finish();
 }
 
+/// Steady-state replay form: the roster is validated once and
+/// round-trips through every run together with the engine scratch — after
+/// the first iteration the simulation itself allocates nothing (pinned by
+/// tests/alloc_gate.rs) and no per-run clone or re-validation is measured.
+fn bench_replay(b: &mut Bencher, config: &EngineConfig, programs: Vec<ClientProgram>) {
+    let mut roster = Some(ValidatedPrograms::new(&config.device, programs).unwrap());
+    let mut scratch = EngineScratch::new();
+    b.iter(|| {
+        let engine = Engine::new_prevalidated(
+            config.clone(),
+            roster.take().unwrap(),
+            std::mem::take(&mut scratch),
+        )
+        .unwrap();
+        let (result, _stats, recycled_roster, recycled) = engine.run_recycling().unwrap();
+        roster = Some(recycled_roster);
+        scratch = recycled;
+        black_box(result.makespan);
+    })
+}
+
 fn bench_engine(c: &mut Criterion) {
     let device = DeviceSpec::a100x();
     let mut group = c.benchmark_group("engine/full_run");
@@ -80,34 +102,37 @@ fn bench_engine(c: &mut Criterion) {
             BenchmarkId::new("mps_clients", clients),
             &clients,
             |b, &clients| {
-                // Steady-state replay form: the roster is validated once
-                // and round-trips through every run together with the
-                // engine scratch — after the first iteration the
-                // simulation itself allocates nothing (pinned by
-                // tests/alloc_gate.rs) and no per-run clone or
-                // re-validation is measured.
                 let programs: Vec<ClientProgram> = (0..clients)
                     .map(|i| client(&device, i as u64, kernels_per_client))
                     .collect();
                 let config = EngineConfig::new(device.clone(), SharingMode::mps_uniform(clients));
-                let mut roster = Some(ValidatedPrograms::new(&device, programs).unwrap());
-                let mut scratch = EngineScratch::new();
-                b.iter(|| {
-                    let engine = Engine::new_prevalidated(
-                        config.clone(),
-                        roster.take().unwrap(),
-                        std::mem::take(&mut scratch),
-                    )
-                    .unwrap();
-                    let (result, _stats, recycled_roster, recycled) =
-                        engine.run_recycling().unwrap();
-                    roster = Some(recycled_roster);
-                    scratch = recycled;
-                    black_box(result.makespan);
-                })
+                bench_replay(b, &config, programs);
             },
         );
     }
+    group.finish();
+}
+
+/// Time slicing with the default 2 ms quantum: a 0.1 s kernel spans
+/// ~50 quanta, so most events are quantum rotations and switch
+/// completions — the path the time-slice solve cache serves.
+fn bench_engine_timesliced(c: &mut Criterion) {
+    let device = DeviceSpec::a100x();
+    let mut group = c.benchmark_group("engine/timesliced_run");
+    let clients = 4usize;
+    let kernels_per_client = 10usize;
+    group.throughput(Throughput::Elements((clients * kernels_per_client) as u64));
+    group.bench_with_input(
+        BenchmarkId::from_parameter(clients),
+        &clients,
+        |b, &clients| {
+            let programs: Vec<ClientProgram> = (0..clients)
+                .map(|i| client(&device, i as u64, kernels_per_client))
+                .collect();
+            let config = EngineConfig::new(device.clone(), SharingMode::timesliced_default());
+            bench_replay(b, &config, programs);
+        },
+    );
     group.finish();
 }
 
@@ -138,57 +163,24 @@ fn bench_engine_gap_heavy(c: &mut Criterion) {
     let clients = 48usize;
     let kernels_per_client = 30usize;
     group.throughput(Throughput::Elements((clients * kernels_per_client) as u64));
+    let programs = || -> Vec<ClientProgram> {
+        (0..clients)
+            .map(|i| gap_heavy_client(&device, i as u64, kernels_per_client))
+            .collect()
+    };
+    let config = EngineConfig::new(device.clone(), SharingMode::mps_uniform(clients));
     group.bench_with_input(
         BenchmarkId::new("mps_clients", clients),
-        &clients,
-        |b, &clients| {
-            let programs: Vec<ClientProgram> = (0..clients)
-                .map(|i| gap_heavy_client(&device, i as u64, kernels_per_client))
-                .collect();
-            let config = EngineConfig::new(device.clone(), SharingMode::mps_uniform(clients));
-            let mut roster = Some(ValidatedPrograms::new(&device, programs).unwrap());
-            let mut scratch = EngineScratch::new();
-            b.iter(|| {
-                let engine = Engine::new_prevalidated(
-                    config.clone(),
-                    roster.take().unwrap(),
-                    std::mem::take(&mut scratch),
-                )
-                .unwrap();
-                let (result, _stats, recycled_roster, recycled) = engine.run_recycling().unwrap();
-                roster = Some(recycled_roster);
-                scratch = recycled;
-                black_box(result.makespan);
-            })
-        },
+        &config,
+        |b, config| bench_replay(b, config, programs()),
     );
     // The same workload with the incremental contention fast path disabled:
     // the spread against `mps_clients/48` is the measured benefit of the
     // single-join/leave re-solve on a churn-heavy resident set.
     group.bench_with_input(
         BenchmarkId::new("full_resolve", clients),
-        &clients,
-        |b, &clients| {
-            let programs: Vec<ClientProgram> = (0..clients)
-                .map(|i| gap_heavy_client(&device, i as u64, kernels_per_client))
-                .collect();
-            let config = EngineConfig::new(device.clone(), SharingMode::mps_uniform(clients))
-                .with_forced_full_resolve(true);
-            let mut roster = Some(ValidatedPrograms::new(&device, programs).unwrap());
-            let mut scratch = EngineScratch::new();
-            b.iter(|| {
-                let engine = Engine::new_prevalidated(
-                    config.clone(),
-                    roster.take().unwrap(),
-                    std::mem::take(&mut scratch),
-                )
-                .unwrap();
-                let (result, _stats, recycled_roster, recycled) = engine.run_recycling().unwrap();
-                roster = Some(recycled_roster);
-                scratch = recycled;
-                black_box(result.makespan);
-            })
-        },
+        &config.clone().with_forced_full_resolve(true),
+        |b, config| bench_replay(b, config, programs()),
     );
     group.finish();
 }
@@ -405,6 +397,7 @@ criterion_group!(
     benches,
     bench_solver,
     bench_engine,
+    bench_engine_timesliced,
     bench_engine_gap_heavy,
     bench_plan_search,
     bench_warm_planner,

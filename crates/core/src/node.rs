@@ -16,7 +16,7 @@
 use crate::estimate::estimate_group;
 use crate::executor::{Executor, ExecutorConfig, RunOutcome};
 use crate::metrics::Metrics;
-use crate::planner::SchedulePlan;
+use crate::planner::{Planner, SchedulePlan};
 use crate::wprofile::WorkflowProfile;
 use mpshare_gpusim::DeviceSpec;
 use mpshare_types::{Energy, Error, Power, Result, Seconds};
@@ -80,6 +80,42 @@ impl NodePlan {
     }
 }
 
+/// Validates `profiles` and estimates every group of `plan` on `device`,
+/// returning `(makespan, group index)` pairs sorted longest first (the
+/// LPT order). A `workflow_indices` entry outside `profiles` is an
+/// [`Error::InvalidConfig`] naming the group and the entry.
+fn lpt_order(
+    device: &DeviceSpec,
+    plan: &SchedulePlan,
+    profiles: &[WorkflowProfile],
+    sharing_overhead: f64,
+) -> Result<Vec<(f64, usize)>> {
+    Planner::validate_profiles(profiles)?;
+    let mut estimated = plan
+        .groups
+        .iter()
+        .enumerate()
+        .map(|(idx, g)| {
+            let members = g
+                .workflow_indices
+                .iter()
+                .map(|&i| {
+                    profiles.get(i).ok_or_else(|| {
+                        Error::InvalidConfig(format!(
+                            "group {idx}: workflow_indices entry {i} out of range for {} profiles",
+                            profiles.len()
+                        ))
+                    })
+                })
+                .collect::<Result<Vec<&WorkflowProfile>>>()?;
+            let e = estimate_group(device, &members, sharing_overhead);
+            Ok((e.makespan.value(), idx))
+        })
+        .collect::<Result<Vec<(f64, usize)>>>()?;
+    estimated.sort_by(|a, b| b.0.total_cmp(&a.0));
+    Ok(estimated)
+}
+
 /// Distributes the groups of a single-GPU plan across `n_gpus` with LPT
 /// list scheduling on estimated group makespans. Group execution order
 /// within a GPU follows the LPT assignment order.
@@ -93,27 +129,15 @@ pub fn distribute_plan(
     if n_gpus == 0 {
         return Err(Error::InvalidConfig("node needs at least one GPU".into()));
     }
-    // Estimate each group's makespan.
-    let mut estimated: Vec<(f64, usize)> = plan
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(idx, g)| {
-            let members: Vec<&WorkflowProfile> =
-                g.workflow_indices.iter().map(|&i| &profiles[i]).collect();
-            let e = estimate_group(device, &members, sharing_overhead);
-            (e.makespan.value(), idx)
-        })
-        .collect();
     // LPT: longest groups first, each to the currently least-loaded GPU.
-    estimated.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite estimates"));
+    let estimated = lpt_order(device, plan, profiles, sharing_overhead)?;
     let mut loads = vec![0.0f64; n_gpus];
     let mut per_gpu: Vec<SchedulePlan> = vec![SchedulePlan { groups: Vec::new() }; n_gpus];
     for (makespan, idx) in estimated {
         let gpu = loads
             .iter()
             .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
+            .min_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .expect("n_gpus > 0");
         loads[gpu] += makespan;
@@ -150,18 +174,7 @@ pub fn distribute_plan_heterogeneous(
         .iter()
         .map(|d| relative_throughput(d, reference).max(1e-6))
         .collect();
-    let mut estimated: Vec<(f64, usize)> = plan
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(idx, g)| {
-            let members: Vec<&WorkflowProfile> =
-                g.workflow_indices.iter().map(|&i| &profiles[i]).collect();
-            let e = estimate_group(reference, &members, sharing_overhead);
-            (e.makespan.value(), idx)
-        })
-        .collect();
-    estimated.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite estimates"));
+    let estimated = lpt_order(reference, plan, profiles, sharing_overhead)?;
     let mut loads = vec![0.0f64; devices.len()];
     let mut per_gpu: Vec<SchedulePlan> = vec![SchedulePlan { groups: Vec::new() }; devices.len()];
     for (makespan, idx) in estimated {
@@ -169,7 +182,7 @@ pub fn distribute_plan_heterogeneous(
             .min_by(|&a, &b| {
                 let la = loads[a] + makespan / speeds[a];
                 let lb = loads[b] + makespan / speeds[b];
-                la.partial_cmp(&lb).expect("finite loads")
+                la.total_cmp(&lb)
             })
             .expect("non-empty devices");
         loads[gpu] += makespan / speeds[gpu];
@@ -273,6 +286,7 @@ impl NodeExecutor {
                 "workflows and profiles must be parallel vectors".into(),
             ));
         }
+        Planner::validate_profiles(profiles)?;
         // FIFO list scheduling onto the first-free GPU, by solo durations.
         let mut loads = vec![0.0f64; self.n_gpus];
         let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); self.n_gpus];
@@ -280,7 +294,7 @@ impl NodeExecutor {
             let gpu = loads
                 .iter()
                 .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
+                .min_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(g, _)| g)
                 .expect("n_gpus > 0");
             loads[gpu] += p.duration.value();
@@ -578,6 +592,77 @@ mod tests {
             per_gpu: vec![SchedulePlan { groups: vec![] }],
         };
         assert!(exec.run_plan(&[], &plan).is_err());
+    }
+
+    fn synthetic_profile(duration: f64) -> WorkflowProfile {
+        WorkflowProfile {
+            label: "synthetic".into(),
+            task_count: 1,
+            avg_sm_util: mpshare_types::Percent::new(40.0),
+            avg_bw_util: mpshare_types::Percent::new(10.0),
+            max_memory: mpshare_types::MemBytes::from_gib(1),
+            // Unchecked scaling: `Seconds::new` would refuse NaN and
+            // negative values, but arithmetic can still produce them.
+            duration: Seconds::new(1.0) * duration,
+            energy: Energy::from_joules(100.0),
+            avg_power: Power::from_watts(150.0),
+            busy_fraction: 0.8,
+            saturation_partition: mpshare_types::Fraction::new(0.5),
+        }
+    }
+
+    fn solo_plan(indices: &[usize]) -> SchedulePlan {
+        SchedulePlan {
+            groups: indices
+                .iter()
+                .map(|&i| crate::planner::PlanGroup {
+                    workflow_indices: vec![i],
+                    partitions: vec![mpshare_types::Fraction::ONE],
+                })
+                .collect(),
+        }
+    }
+
+    fn assert_invalid_naming(result: Result<impl std::fmt::Debug>, field: &str) {
+        match result {
+            Err(Error::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("expected InvalidConfig naming {field}, got {other:?}"),
+        }
+    }
+
+    /// NaN, ∞ and negative durations used to panic in the LPT sorts
+    /// (`partial_cmp(..).expect("finite …")`); every node entry point now
+    /// rejects them as a typed error naming the field.
+    #[test]
+    fn degenerate_durations_are_typed_errors() {
+        let d = device();
+        let exec = NodeExecutor::new(ExecutorConfig::new(d.clone()), 2).unwrap();
+        let workflows = &queue()[..2];
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let profiles = vec![synthetic_profile(10.0), synthetic_profile(bad)];
+            let plan = solo_plan(&[0, 1]);
+            assert_invalid_naming(distribute_plan(&d, &plan, &profiles, 2, 0.0), "duration");
+            assert_invalid_naming(
+                distribute_plan_heterogeneous(&d, std::slice::from_ref(&d), &plan, &profiles, 0.0),
+                "duration",
+            );
+            assert_invalid_naming(exec.run_sequential(workflows, &profiles), "duration");
+        }
+    }
+
+    #[test]
+    fn out_of_range_workflow_index_is_a_typed_error() {
+        let d = device();
+        let profiles = vec![synthetic_profile(10.0)];
+        let plan = solo_plan(&[0, 3]);
+        assert_invalid_naming(
+            distribute_plan(&d, &plan, &profiles, 2, 0.0),
+            "workflow_indices",
+        );
+        assert_invalid_naming(
+            distribute_plan_heterogeneous(&d, std::slice::from_ref(&d), &plan, &profiles, 0.0),
+            "workflow_indices",
+        );
     }
 
     #[test]

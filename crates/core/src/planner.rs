@@ -464,9 +464,9 @@ impl Planner {
     /// Rejects profiles the packing heuristics cannot order: non-finite or
     /// negative durations, utilizations, energies, or powers. Degenerate
     /// values would otherwise poison the sort comparators and the
-    /// estimator, so the planner refuses them up front with an error
-    /// naming the offending profile and field.
-    fn validate_profiles(profiles: &[WorkflowProfile]) -> Result<()> {
+    /// estimator, so the planner (and node placement) refuses them up
+    /// front with an error naming the offending profile and field.
+    pub(crate) fn validate_profiles(profiles: &[WorkflowProfile]) -> Result<()> {
         for (i, p) in profiles.iter().enumerate() {
             let checks = [
                 ("duration", p.duration.value()),

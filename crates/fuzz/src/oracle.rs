@@ -17,11 +17,8 @@
 //! * `energy-floor` — board energy ≥ idle power × covered time (non-MIG:
 //!   MIG instances integrate their own sliced idle draw).
 //! * `incremental-vs-full` — the run repeated with the incremental
-//!   contention re-solve disabled must be bit-identical (serialized
-//!   `RunResult` equality).
-//! * `component-vs-legacy` — the run repeated with the historical direct
-//!   `while step()` engine loop (instead of the component/tick-heap core
-//!   the runner uses by default) must be bit-identical.
+//!   contention re-solve and the time-slice solve cache disabled must be
+//!   bit-identical (serialized `RunResult` equality).
 //! * `order` — the canonical completion sequence must be a pure function
 //!   of the completion records: seeded permutations of every per-client
 //!   completion list, re-indexed, and the unindexed fallback path must
@@ -242,33 +239,6 @@ fn check_engine(sc: &EngineScenario) -> Result<OracleReport> {
                  (lens {} vs {})",
                 canon_inc.len(),
                 canon_full.len()
-            ),
-        ));
-    }
-
-    // Component core vs the historical direct loop: the runner drives the
-    // engine through the component/tick-heap core by default, and the
-    // refactor promises to be observationally invisible. Forcing the
-    // legacy `while step()` loop must reproduce the run bit-identically.
-    let legacy = runner.clone().with_legacy_loop(true).run_with_faults(
-        &sharing,
-        programs.clone(),
-        &faults,
-    )?;
-    let canon_legacy = canonical_result(&legacy);
-    if canon_inc != canon_legacy {
-        let at = canon_inc
-            .bytes()
-            .zip(canon_legacy.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| canon_inc.len().min(canon_legacy.len()));
-        violations.push(Violation::new(
-            "component-vs-legacy",
-            format!(
-                "component-core and legacy-loop results diverge at byte {at} \
-                 (lens {} vs {})",
-                canon_inc.len(),
-                canon_legacy.len()
             ),
         ));
     }

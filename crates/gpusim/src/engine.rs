@@ -89,17 +89,11 @@ pub struct EngineConfig {
     /// code path behaves exactly as before).
     pub faults: FaultPlan,
     /// Testing/benchmark hook: disable the incremental contention solver
-    /// and re-solve every resident-set change from scratch. Results are
-    /// bit-identical either way (that is the incremental solver's
-    /// contract); this exists so equivalence tests and the
-    /// incremental-vs-full bench pair can exercise both paths.
+    /// and the time-slice solve cache, and re-solve every resident-set
+    /// change from scratch. Results are bit-identical either way (that is
+    /// both fast paths' contract); this exists so equivalence tests and
+    /// the incremental-vs-full bench pair can exercise both paths.
     pub force_full_resolve: bool,
-    /// Testing/equivalence hook: drive the run with the historical direct
-    /// `while step()` loop instead of the component core (see
-    /// [`crate::component`]). Results are bit-identical either way — the
-    /// component core issues the exact same `next_tick`/`tick_to` sequence
-    /// through the global heap — and `tests/perf_equivalence.rs` pins that.
-    pub legacy_loop: bool,
 }
 
 impl EngineConfig {
@@ -112,7 +106,6 @@ impl EngineConfig {
             record_events: false,
             faults: FaultPlan::default(),
             force_full_resolve: false,
-            legacy_loop: false,
         }
     }
 
@@ -134,12 +127,6 @@ impl EngineConfig {
     /// See [`EngineConfig::force_full_resolve`].
     pub fn with_forced_full_resolve(mut self, force: bool) -> Self {
         self.force_full_resolve = force;
-        self
-    }
-
-    /// See [`EngineConfig::legacy_loop`].
-    pub fn with_legacy_loop(mut self, legacy: bool) -> Self {
-        self.legacy_loop = legacy;
         self
     }
 }
@@ -401,7 +388,24 @@ struct ClientColumns {
     /// Invariant solve inputs of the current kernel, computed once when it
     /// starts (valid only while the client is `Running`).
     prepared: Vec<PreparedContender>,
+    /// Time-sliced solve cache: the solved state of the singleton
+    /// scheduled set `{i}`, a pure function of `prepared[i]`. Filled by
+    /// the first full solve of `{i}`, cleared when a kernel starts.
+    slice_solution: Vec<Option<SliceSolution>>,
     completions: Vec<Vec<TaskCompletion>>,
+}
+
+/// Solved rate/power state of a time-sliced scheduled set, which is
+/// always `{}` or `{active}` (DESIGN.md §6).
+#[derive(Debug, Clone, Copy)]
+struct SliceSolution {
+    /// Clock-scaled rate and dynamic power of the scheduled client
+    /// (unused for the empty set).
+    rate: f64,
+    dyn_power: f64,
+    sm_util: f64,
+    bw_util: f64,
+    pstate: PowerState,
 }
 
 impl ClientColumns {
@@ -438,6 +442,8 @@ impl ClientColumns {
         self.failed.resize(n, false);
         self.prepared.clear();
         self.prepared.resize(n, IDLE_PREPARED);
+        self.slice_solution.clear();
+        self.slice_solution.resize(n, None);
         for c in &mut self.completions {
             c.clear();
         }
@@ -518,6 +524,9 @@ pub struct Engine {
     solved_sm_util: f64,
     solved_bw_util: f64,
     solved_pstate: PowerState,
+    /// Time-sliced solve cache for the empty scheduled set (see
+    /// [`ClientColumns::slice_solution`]).
+    drained_solution: Option<SliceSolution>,
     rate_solves: u64,
     prepared_scratch: Vec<PreparedContender>,
     allocations_scratch: Vec<Allocation>,
@@ -567,17 +576,13 @@ pub struct Engine {
     max_queue_depth: u64,
     /// Time step planned by the last [`Engine::next_tick`], consumed by the
     /// matching [`Engine::tick_to`]. Stored rather than recomputed from the
-    /// heap's absolute time so the apply side uses the exact `dt` the plan
+    /// absolute horizon so the apply side uses the exact `dt` the plan
     /// derived (a `t - now` round-trip is not bit-identical). NaN = no
     /// outstanding plan.
     planned_dt: f64,
     /// Whether the planned horizon is a time-slice quantum expiry (set by
     /// the plan, consumed by the apply's end-of-step rotation).
     planned_quantum_event: bool,
-    /// Component-core counters (zero under the legacy direct loop): global
-    /// heap ticks dispatched to this engine and the max heap depth seen.
-    component_ticks: u64,
-    heap_max_depth: u64,
 }
 
 /// Accumulated resident-set membership change between rate solves.
@@ -606,8 +611,9 @@ pub struct EngineStats {
     /// (see [`crate::contention::ContentionSolver::solve_prepared_join_into`]).
     pub incremental_solves: u64,
     /// Re-solves that ran the full pipeline (first solve, multi-client
-    /// deltas, time-slice rotations, fast-path bailouts, or
-    /// [`EngineConfig::force_full_resolve`]).
+    /// deltas, fast-path bailouts, a time-sliced set not yet cached, or
+    /// [`EngineConfig::force_full_resolve`]). Time-sliced resident-set
+    /// changes served from the slice cache count as neither kind.
     pub full_solves: u64,
     /// Resident-set epoch transitions (kernel starts/finishes, context
     /// switches). The cache guarantees `rate_solves <= resident_changes`:
@@ -616,12 +622,6 @@ pub struct EngineStats {
     /// Maximum indexed event-queue depth observed across the run: running
     /// kernels + armed host timers + undelivered arrivals + pending faults.
     pub max_queue_depth: u64,
-    /// Global-heap ticks dispatched to this engine by the component core
-    /// (zero when the run used [`EngineConfig::legacy_loop`]).
-    pub ticks: u64,
-    /// Maximum global tick-heap depth observed while this engine ran under
-    /// the component core (1 for a solo engine; more in compositions).
-    pub heap_max_depth: u64,
 }
 
 impl Engine {
@@ -803,6 +803,7 @@ impl Engine {
             solved_sm_util: 0.0,
             solved_bw_util: 0.0,
             solved_pstate: idle_pstate,
+            drained_solution: None,
             rate_solves: 0,
             prepared_scratch,
             allocations_scratch,
@@ -827,8 +828,6 @@ impl Engine {
             max_queue_depth: 0,
             planned_dt: f64::NAN,
             planned_quantum_event: false,
-            component_ticks: 0,
-            heap_max_depth: 0,
         })
     }
 
@@ -955,24 +954,9 @@ impl Engine {
 
     /// Like [`Engine::run`], but also returns the hot-path counters —
     /// useful for asserting that the rate cache actually skips re-solves.
-    ///
-    /// By default the run is driven through the component core (the engine
-    /// as the sole [`crate::component::Component`] on the global tick
-    /// heap); [`EngineConfig::legacy_loop`] selects the historical direct
-    /// `while step()` loop instead. Both produce bit-identical results —
-    /// pinned by `tests/perf_equivalence.rs`.
-    pub fn run_with_stats(mut self) -> Result<(RunResult, EngineStats)> {
-        if self.config.legacy_loop {
-            while self.step()? {}
-        } else {
-            let mut core = crate::component::SimCore::new(1);
-            {
-                let mut comps: [&mut dyn crate::component::Component; 1] = [&mut self];
-                core.run(&mut comps)?;
-            }
-            self.note_heap_max_depth(core.stats().max_heap_depth);
-        }
-        Ok(self.build_result())
+    pub fn run_with_stats(self) -> Result<(RunResult, EngineStats)> {
+        self.run_recycling()
+            .map(|(result, stats, _roster, _scratch)| (result, stats))
     }
 
     /// Like [`Engine::run_with_stats`], but also hands the internal
@@ -987,6 +971,9 @@ impl Engine {
     /// [`Engine::new_prevalidated`]. The steady-state replay loop —
     /// roster and scratch round-tripping through each run — constructs
     /// engines with no program clone and no re-validation.
+    ///
+    /// This is the engine's one run loop: every other run entry point
+    /// delegates here.
     pub fn run_recycling(
         mut self,
     ) -> Result<(RunResult, EngineStats, ValidatedPrograms, EngineScratch)> {
@@ -1044,10 +1031,9 @@ impl Engine {
     /// it is public so harnesses (the allocation gate, debuggers) can
     /// drive and observe the engine stepwise.
     ///
-    /// `step` is exactly the component protocol inlined — one
-    /// [`Engine::next_tick`] plan immediately consumed by its
-    /// [`Engine::tick_to`] — so driving the engine through the global tick
-    /// heap executes the identical operation sequence.
+    /// `step` is one [`Engine::next_tick`] plan immediately consumed by
+    /// its [`Engine::tick_to`]. That split is the seam a future loop over
+    /// several simulated components would interleave on.
     pub fn step(&mut self) -> Result<bool> {
         match self.next_tick()? {
             None => Ok(false),
@@ -1058,12 +1044,12 @@ impl Engine {
         }
     }
 
-    /// Component-protocol plan half (see [`crate::component::Component`]):
-    /// drains zero-cost transitions at the current time and, unless every
-    /// client is terminal, plans the next event horizon. Returns the
-    /// absolute time of the engine's next internal event, or `None` when
-    /// the run is complete. The matching [`Engine::tick_to`] must be called
-    /// (with the returned time) before the next `next_tick`.
+    /// Plan half of [`Engine::step`]: drains zero-cost transitions at the
+    /// current time and, unless every client is terminal, plans the next
+    /// event horizon. Returns the absolute time of the engine's next
+    /// internal event, or `None` when the run is complete. The matching
+    /// [`Engine::tick_to`] must be called (with the returned time) before
+    /// the next `next_tick`.
     pub fn next_tick(&mut self) -> Result<Option<f64>> {
         debug_assert!(
             self.planned_dt.is_nan(),
@@ -1085,7 +1071,7 @@ impl Engine {
         Ok(Some(self.now + dt))
     }
 
-    /// Component-protocol apply half: advances simulated time to `now` (the
+    /// Apply half of [`Engine::step`]: advances simulated time to `now` (the
     /// horizon the preceding [`Engine::next_tick`] returned), integrating
     /// telemetry, progress, energy and countdowns over the planned step.
     pub fn tick_to(&mut self, now: f64) -> Result<()> {
@@ -1098,48 +1084,6 @@ impl Engine {
         );
         self.planned_dt = f64::NAN;
         self.apply_advance(dt)
-    }
-
-    /// Count of heap ticks dispatched to this engine when driven through
-    /// the component core (zero under the legacy direct loop).
-    pub fn note_component_tick(&mut self) {
-        self.component_ticks += 1;
-    }
-
-    /// Folds an observed global-heap depth into the run's stats (called by
-    /// whoever drives the engine through a [`crate::component::SimCore`]).
-    pub fn note_heap_max_depth(&mut self, depth: u64) {
-        self.heap_max_depth = self.heap_max_depth.max(depth);
-    }
-
-    /// Task completions recorded so far across all clients — the outbox
-    /// source for component compositions (a GPU component emits one
-    /// interconnect transfer per newly completed task).
-    pub fn tasks_completed_so_far(&self) -> usize {
-        self.cols.completions.iter().map(|c| c.len()).sum()
-    }
-
-    /// Simulated time reached so far.
-    pub fn now_seconds(&self) -> f64 {
-        self.now
-    }
-
-    /// Whether every client has reached a terminal phase.
-    pub fn is_finished(&self) -> bool {
-        self.terminated_count == self.programs.len()
-    }
-
-    /// Finalizes a completed run into its result and counters — the
-    /// component-composition endpoint (a [`crate::component::Composition`]
-    /// drives engines through the shared heap, then collects each one
-    /// here). Errors if any client is still live.
-    pub fn into_result(mut self) -> Result<(RunResult, EngineStats)> {
-        if !self.is_finished() {
-            return Err(Error::InvalidConfig(
-                "into_result called before the run completed".into(),
-            ));
-        }
-        Ok(self.build_result())
     }
 
     /// Assembles the [`RunResult`] and counters after the step loop ends.
@@ -1200,8 +1144,6 @@ impl Engine {
             full_solves: self.full_solves,
             resident_changes: self.resident_epoch,
             max_queue_depth: self.max_queue_depth,
-            ticks: self.component_ticks,
-            heap_max_depth: self.heap_max_depth,
         };
         (result, stats)
     }
@@ -1437,6 +1379,7 @@ impl Engine {
             self.cols.phase[i] = Phase::Running;
             self.cols.run_rem[i] = remaining;
             self.cols.prepared[i] = prepared;
+            self.cols.slice_solution[i] = None;
             self.running_insert(i);
             self.bump_epoch_join(i);
             self.record(
@@ -1580,17 +1523,18 @@ impl Engine {
         let SharingMode::TimeSliced {
             quantum,
             switch_overhead,
-        } = self.config.mode.clone()
+        } = self.config.mode
         else {
             return;
         };
+        let (quantum, switch) = (quantum.value(), switch_overhead.value());
         let runnable = self.running_set.len();
         if runnable <= 1 {
             // A fault can abort the only other runnable client mid-quantum
             // (see `rotation_with_single_survivor_after_fault`): with zero
             // or one runnable client there is nothing to rotate to, so the
             // expiry just restarts the quantum.
-            self.quantum_remaining = quantum.value();
+            self.quantum_remaining = quantum;
             return;
         }
         let n = self.programs.len();
@@ -1602,17 +1546,17 @@ impl Engine {
             // scan covers every index), but a rotation must never be a
             // panic path: degrade to a quantum restart.
             debug_assert!(false, "non-empty running set but no runnable client found");
-            self.quantum_remaining = quantum.value();
+            self.quantum_remaining = quantum;
             return;
         };
         if Some(next) != self.active {
-            self.switch_remaining = switch_overhead.value();
+            self.switch_remaining = switch;
             self.bump_epoch_invalidate();
             self.record(Event::DEVICE, EventKind::ContextSwitch { to_client: next });
         }
         self.active = Some(next);
         self.next_rr = (next + 1) % n;
-        self.quantum_remaining = quantum.value();
+        self.quantum_remaining = quantum;
     }
 
     /// Returns the indices of clients whose kernels are on the GPU now.
@@ -1623,17 +1567,17 @@ impl Engine {
                     .filter(|&i| self.is_running(i))
                     .collect()
             }
-            SharingMode::TimeSliced { .. } => {
-                if self.switch_remaining > EPS {
-                    Vec::new() // context switch in progress: GPU drained
-                } else {
-                    self.active
-                        .filter(|&a| self.is_running(a))
-                        .map(|a| vec![a])
-                        .unwrap_or_default()
-                }
-            }
+            SharingMode::TimeSliced { .. } => self.slice_scheduled().into_iter().collect(),
         }
+    }
+
+    /// The client whose kernel is on the GPU under time slicing: the
+    /// active one, unless a context switch has the GPU drained.
+    fn slice_scheduled(&self) -> Option<usize> {
+        if self.switch_remaining > EPS {
+            return None;
+        }
+        self.active.filter(|&a| self.is_running(a))
     }
 
     fn partition_of(&self, client: usize) -> Fraction {
@@ -1654,8 +1598,15 @@ impl Engine {
     /// pipeline. Both paths produce bit-identical allocations — the
     /// incremental one is cross-checked against a from-scratch solve in
     /// debug builds.
+    ///
+    /// Under time slicing, a scheduled set solved before is served from
+    /// the slice cache instead (see [`Engine::reuse_slice_solution`]).
     fn refresh_solution(&mut self) {
         let delta = std::mem::replace(&mut self.delta, SolveDelta::None);
+        let time_sliced = matches!(self.config.mode, SharingMode::TimeSliced { .. });
+        if time_sliced && !self.config.force_full_resolve && self.reuse_slice_solution() {
+            return;
+        }
         let incremental = !self.config.force_full_resolve
             && match delta {
                 SolveDelta::Join(i) => self.try_incremental_join(i),
@@ -1671,6 +1622,59 @@ impl Engine {
             self.full_solves += 1;
         }
         self.apply_solution();
+        if time_sliced {
+            self.store_slice_solution();
+        }
+    }
+
+    /// Time-sliced solve reuse (DESIGN.md §6). The scheduled set is `{}`
+    /// or `{a}`, and its solved state is a pure function of `prepared[a]`
+    /// — fixed while the kernel stays resident — plus the engine's fixed
+    /// device, overhead and power model. So a quantum rotation or switch
+    /// completion back to a set solved before installs the cached state
+    /// instead of re-running the solver. Returns whether the cache served
+    /// the refresh; in debug builds every reuse is checked bit for bit
+    /// against a from-scratch solve.
+    fn reuse_slice_solution(&mut self) -> bool {
+        let scheduled = self.slice_scheduled();
+        let cached = match scheduled {
+            Some(a) => self.cols.slice_solution[a],
+            None => self.drained_solution,
+        };
+        let Some(s) = cached else {
+            return false;
+        };
+        self.solved_scheduled.clear();
+        self.solved_rates.clear();
+        self.solved_dyn_powers.clear();
+        if let Some(a) = scheduled {
+            self.solved_scheduled.push(a);
+            self.solved_rates.push(s.rate);
+            self.solved_dyn_powers.push(s.dyn_power);
+        }
+        self.solved_sm_util = s.sm_util;
+        self.solved_bw_util = s.bw_util;
+        self.solved_pstate = s.pstate;
+        self.solved_epoch = self.resident_epoch;
+        #[cfg(debug_assertions)]
+        self.cross_check_slice_reuse();
+        true
+    }
+
+    /// Files the solution just computed for a time-sliced set into the
+    /// slice cache (see [`Engine::reuse_slice_solution`]).
+    fn store_slice_solution(&mut self) {
+        let s = SliceSolution {
+            rate: self.solved_rates.first().copied().unwrap_or(0.0),
+            dyn_power: self.solved_dyn_powers.first().copied().unwrap_or(0.0),
+            sm_util: self.solved_sm_util,
+            bw_util: self.solved_bw_util,
+            pstate: self.solved_pstate,
+        };
+        match self.solved_scheduled.first() {
+            Some(&a) => self.cols.slice_solution[a] = Some(s),
+            None => self.drained_solution = Some(s),
+        }
     }
 
     /// Full pipeline: rebuild the scheduled set and prepared inputs, then
@@ -1684,16 +1688,7 @@ impl Engine {
                 // clients the historical per-client filter produced.
                 scheduled.extend_from_slice(&self.running_set);
             }
-            SharingMode::TimeSliced { .. } => {
-                // During a context switch the GPU is drained.
-                if self.switch_remaining <= EPS {
-                    if let Some(a) = self.active {
-                        if self.is_running(a) {
-                            scheduled.push(a);
-                        }
-                    }
-                }
-            }
+            SharingMode::TimeSliced { .. } => scheduled.extend(self.slice_scheduled()),
         }
 
         self.prepared_scratch.clear();
@@ -1755,45 +1750,73 @@ impl Engine {
 
     /// Derives the cached rate/power state from `allocations_scratch` and
     /// `solved_scheduled` — the shared tail of the full and incremental
-    /// solve paths, bit-identical to the historical inline code.
-    ///
-    /// One fused pass: the four reductions (dynamic power, SM share, BW
-    /// share) and two per-slot products run over the allocation slots
-    /// once. Each left-to-right `acc + term` chain and each per-element
-    /// multiplication is the same operation on the same values as the
-    /// historical separate passes, so every output is bit-identical.
+    /// solve paths (see [`derive_solution`]).
     fn apply_solution(&mut self) {
-        let allocations = &self.allocations_scratch;
-        let dyn_power: f64 = allocations.iter().map(|a| a.dyn_power_watts).sum();
         // Streams of one process interleave like a single client as far as
         // the power-peak model is concerned.
         let resident_processes = match self.config.mode {
             SharingMode::Streams => self.solved_scheduled.len().min(1),
             _ => self.solved_scheduled.len(),
         };
-        self.solved_pstate = self.power.resolve(dyn_power, resident_processes);
-        let clock_factor = self.solved_pstate.clock_factor;
-        self.solved_rates.clear();
-        self.solved_dyn_powers.clear();
-        // -0.0 is `Sum for f64`'s identity; starting there keeps this
-        // fused pass bit-identical to the historical `.sum()` reductions
-        // (an idle GPU reports -0.0 utilization, and serde prints it).
-        let mut sm_util = -0.0f64;
-        let mut bw_util = -0.0f64;
-        for a in allocations {
-            self.solved_rates.push(a.rate * clock_factor);
-            // The clock scaling that slows rates also scales the actual
-            // dynamic draw, so per-slot attributed power sums to
-            // (billed − idle).
-            self.solved_dyn_powers
-                .push(a.dyn_power_watts * clock_factor);
-            sm_util += a.sm_share;
-            bw_util += a.bw_share;
-        }
+        let (sm_util, bw_util, pstate) = derive_solution(
+            &self.power,
+            &self.allocations_scratch,
+            resident_processes,
+            &mut self.solved_rates,
+            &mut self.solved_dyn_powers,
+        );
         self.solved_sm_util = sm_util;
         self.solved_bw_util = bw_util;
+        self.solved_pstate = pstate;
         self.solved_epoch = self.resident_epoch;
         self.rate_solves += 1;
+    }
+
+    /// Debug-build invariant: a time-slice cache hit must equal a
+    /// from-scratch solve of the same scheduled set, bit for bit.
+    #[cfg(debug_assertions)]
+    fn cross_check_slice_reuse(&self) {
+        debug_assert_eq!(
+            self.solved_scheduled,
+            self.scheduled_running(),
+            "time-slice cache installed the wrong scheduled set"
+        );
+        let prepared: Vec<PreparedContender> = self
+            .solved_scheduled
+            .iter()
+            .map(|&i| self.cols.prepared[i])
+            .collect();
+        let mut allocations = Vec::new();
+        self.solver
+            .solve_prepared_into(&prepared, &mut SolveScratch::default(), &mut allocations);
+        let (mut rates, mut dyn_powers) = (Vec::new(), Vec::new());
+        let (sm_util, bw_util, pstate) = derive_solution(
+            &self.power,
+            &allocations,
+            prepared.len(),
+            &mut rates,
+            &mut dyn_powers,
+        );
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let state = |rates: &[f64], dyn_powers: &[f64], sm: f64, bw: f64, p: PowerState| {
+            (
+                bits(rates),
+                bits(dyn_powers),
+                bits(&[sm, bw, p.power.watts(), p.clock_factor]),
+                p.capped,
+            )
+        };
+        debug_assert_eq!(
+            state(
+                &self.solved_rates,
+                &self.solved_dyn_powers,
+                self.solved_sm_util,
+                self.solved_bw_util,
+                self.solved_pstate
+            ),
+            state(&rates, &dyn_powers, sm_util, bw_util, pstate),
+            "time-slice solve reuse diverged from a from-scratch solve"
+        );
     }
 
     /// Debug-build invariant: an incremental solve must equal a
@@ -1824,8 +1847,8 @@ impl Engine {
     }
 
     /// Plans the next time step: refreshes the rate/power solution and
-    /// derives the time to the next event horizon (the plan half of the
-    /// component protocol — no state other than the solution cache, the
+    /// derives the time to the next event horizon (the body of
+    /// [`Engine::next_tick`] — no state other than the solution cache, the
     /// depth counter and `planned_quantum_event` is mutated).
     fn plan_advance(&mut self) -> Result<f64> {
         // Rates/power are a pure function of the resident set (plus the
@@ -1920,8 +1943,8 @@ impl Engine {
 
     /// Applies a planned time step: integrates telemetry/progress/energy,
     /// decrements countdowns, advances `now` by `dt`, delivers arrivals and
-    /// rotates the time-slice on a planned quantum expiry (the apply half
-    /// of the component protocol).
+    /// rotates the time-slice on a planned quantum expiry (the body of
+    /// [`Engine::tick_to`]).
     fn apply_advance(&mut self, dt: f64) -> Result<()> {
         let pstate = self.solved_pstate;
         let quantum_event = self.planned_quantum_event;
@@ -2001,6 +2024,43 @@ impl Engine {
         }
         Ok(())
     }
+}
+
+/// Derives the per-slot clock-scaled rates and dynamic powers (into
+/// `rates`/`dyn_powers`) plus the SM/BW utilization and power state from
+/// one solve's allocations.
+///
+/// One fused pass: the four reductions (dynamic power, SM share, BW
+/// share) and two per-slot products run over the allocation slots once.
+/// Each left-to-right `acc + term` chain and each per-element
+/// multiplication is the same operation on the same values as the
+/// historical separate passes, so every output is bit-identical.
+fn derive_solution(
+    power: &PowerModel,
+    allocations: &[Allocation],
+    resident_processes: usize,
+    rates: &mut Vec<f64>,
+    dyn_powers: &mut Vec<f64>,
+) -> (f64, f64, PowerState) {
+    let dyn_power: f64 = allocations.iter().map(|a| a.dyn_power_watts).sum();
+    let pstate = power.resolve(dyn_power, resident_processes);
+    let clock_factor = pstate.clock_factor;
+    rates.clear();
+    dyn_powers.clear();
+    // -0.0 is `Sum for f64`'s identity; starting there keeps this fused
+    // pass bit-identical to the historical `.sum()` reductions (an idle GPU
+    // reports -0.0 utilization, and serde prints it).
+    let mut sm_util = -0.0f64;
+    let mut bw_util = -0.0f64;
+    for a in allocations {
+        rates.push(a.rate * clock_factor);
+        // The clock scaling that slows rates also scales the actual dynamic
+        // draw, so per-slot attributed power sums to (billed − idle).
+        dyn_powers.push(a.dyn_power_watts * clock_factor);
+        sm_util += a.sm_share;
+        bw_util += a.bw_share;
+    }
+    (sm_util, bw_util, pstate)
 }
 
 #[cfg(test)]
@@ -2738,6 +2798,40 @@ mod tests {
         r.index_completions();
         assert_eq!(r.completion_order.len(), 4);
         assert_eq!(observed(&r), expect);
+    }
+
+    /// The time-slice solve cache is per kernel: every kernel start drops
+    /// the client's cached `{client}` solution. Two clients whose
+    /// back-to-back kernels differ in demand (so in power), rotated every
+    /// quantum, must reproduce the forced full re-solve bit for bit while
+    /// solving only once per kernel start plus once for the drained GPU.
+    #[test]
+    fn timeslice_cache_is_per_kernel() {
+        let mk = |id| {
+            let kernels = vec![
+                kernel(0.01, 0.3, 0.1, 0.0),
+                kernel(0.01, 0.9, 0.6, 0.0),
+                kernel(0.01, 0.5, 0.3, 0.0),
+            ];
+            one_task_client("ts", id, kernels)
+        };
+        let run = |force: bool| {
+            let cfg = EngineConfig::new(dev(), SharingMode::timesliced_default())
+                .with_forced_full_resolve(force);
+            Engine::new(cfg, vec![mk(0), mk(1)])
+                .unwrap()
+                .run_with_stats()
+                .unwrap()
+        };
+        let (cached, stats) = run(false);
+        let (full, full_stats) = run(true);
+        assert_eq!(
+            serde_json::to_string(&cached).unwrap(),
+            serde_json::to_string(&full).unwrap()
+        );
+        assert_eq!(stats.events, full_stats.events);
+        assert_eq!(stats.full_solves, 6 + 1);
+        assert!(full_stats.full_solves > 4 * stats.full_solves);
     }
 
     /// Regression for the rotation panic path: a fault aborts the only

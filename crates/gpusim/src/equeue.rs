@@ -33,7 +33,7 @@ pub(crate) struct MonotoneEventQueue {
     /// Last deadline passed to [`MonotoneEventQueue::pop_armed`], for the
     /// monotonicity check: a decreasing deadline would silently skip
     /// events (the armed cursor never rewinds), so it is asserted rather
-    /// than just documented. Same check as [`crate::heap::TickHeap::pop`].
+    /// than just documented.
     last_deadline: f64,
 }
 

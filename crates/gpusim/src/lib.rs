@@ -28,14 +28,12 @@
 //! kernel's progress rate is constant and the next completion time is exact.
 //! No time-stepping error, fully deterministic.
 
-pub mod component;
 pub mod contention;
 pub mod device;
 pub mod engine;
 mod equeue;
 pub mod events;
 pub mod fault;
-pub mod heap;
 pub mod invariant;
 pub mod kernel;
 pub mod occupancy;
@@ -43,10 +41,6 @@ pub mod power;
 pub mod program;
 pub mod telemetry;
 
-pub use component::{
-    Component, Composition, CompositionOutcome, GpuComponent, GpuOutcome, LinkReport, Message,
-    SharedLink, SimCore, SimStats,
-};
 pub use contention::{Allocation, ContentionSolver, PreparedContender, SolveScratch};
 pub use device::DeviceSpec;
 pub use engine::{
@@ -54,7 +48,6 @@ pub use engine::{
 };
 pub use events::{Event, EventKind, EventLog};
 pub use fault::{unit_hash, FaultPlan, FaultRecord, FaultScope, FaultSpec};
-pub use heap::TickHeap;
 pub use kernel::{KernelSpec, LaunchConfig};
 pub use occupancy::{OccupancyLimits, OccupancyReport};
 pub use power::{PowerModel, PowerState};

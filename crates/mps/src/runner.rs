@@ -57,14 +57,6 @@ fn record_engine_run(
         &mpshare_obs::DEPTH_BUCKETS,
         stats.max_queue_depth as f64,
     );
-    mpshare_obs::counter_add(names::ENGINE_COMPONENT_TICKS, stats.ticks);
-    if stats.heap_max_depth > 0 {
-        mpshare_obs::observe(
-            names::ENGINE_HEAP_DEPTH,
-            &mpshare_obs::DEPTH_BUCKETS,
-            stats.heap_max_depth as f64,
-        );
-    }
     mpshare_obs::gauge_add(names::ENGINE_SIM_SECONDS, result.makespan.value());
     mpshare_obs::observe(
         names::GROUP_MAKESPAN_SECONDS,
@@ -122,7 +114,6 @@ fn record_engine_run(
     let (events, solves) = (stats.events, stats.rate_solves);
     let (incremental, full) = (stats.incremental_solves, stats.full_solves);
     let queue_depth = stats.max_queue_depth;
-    let (ticks, heap_depth) = (stats.ticks, stats.heap_max_depth);
     let makespan = result.makespan.value();
     mpshare_obs::emit(
         mpshare_obs::Track::Daemon,
@@ -140,8 +131,6 @@ fn record_engine_run(
                 "incremental_solves": incremental,
                 "full_solves": full,
                 "max_queue_depth": queue_depth,
-                "component_ticks": ticks,
-                "heap_max_depth": heap_depth,
             })
         },
     );
@@ -259,7 +248,6 @@ pub struct GpuRunner {
     sharing_overhead: f64,
     record_events: bool,
     force_full_resolve: bool,
-    legacy_loop: bool,
 }
 
 impl GpuRunner {
@@ -269,7 +257,6 @@ impl GpuRunner {
             sharing_overhead: 0.0,
             record_events: false,
             force_full_resolve: false,
-            legacy_loop: false,
         }
     }
 
@@ -280,10 +267,11 @@ impl GpuRunner {
         self
     }
 
-    /// Disables the engine's incremental re-solve fast path on every run
-    /// (including each MIG instance engine), forcing a full contention
-    /// solve at every resident-set change. Results are bit-identical with
-    /// the fast path — the fuzz harness runs both and compares.
+    /// Disables the engine's incremental re-solve and time-slice solve
+    /// cache on every run (including each MIG instance engine), forcing a
+    /// full contention solve at every resident-set change. Results are
+    /// bit-identical with the fast paths — the fuzz harness runs both and
+    /// compares.
     pub fn with_forced_full_resolve(mut self, force: bool) -> Self {
         self.force_full_resolve = force;
         self
@@ -293,15 +281,6 @@ impl GpuRunner {
     /// hardware / L2 pressure); see `mpshare-gpusim`'s contention model.
     pub fn with_sharing_overhead(mut self, overhead: f64) -> Self {
         self.sharing_overhead = overhead;
-        self
-    }
-
-    /// Drives every engine run (including each MIG instance engine) with
-    /// the historical direct loop instead of the component core. Results
-    /// are bit-identical either way — the fuzz oracle and
-    /// `tests/perf_equivalence.rs` run both and compare.
-    pub fn with_legacy_loop(mut self, legacy: bool) -> Self {
-        self.legacy_loop = legacy;
         self
     }
 
@@ -389,7 +368,6 @@ impl GpuRunner {
             .with_sharing_overhead(self.sharing_overhead)
             .with_event_log(self.record_events)
             .with_forced_full_resolve(self.force_full_resolve)
-            .with_legacy_loop(self.legacy_loop)
             .with_fault_plan(faults);
         let (result, stats) = Engine::new(config, programs)?.run_with_stats()?;
         record_engine_run(
@@ -450,7 +428,6 @@ impl GpuRunner {
             .with_sharing_overhead(self.sharing_overhead)
             .with_event_log(self.record_events)
             .with_forced_full_resolve(self.force_full_resolve)
-            .with_legacy_loop(self.legacy_loop)
             .with_fault_plan(instance_faults.clone());
             let clients = progs.len();
             let (result, stats) = Engine::new(config, progs)?.run_with_stats()?;

@@ -7,8 +7,8 @@
 //!   touches no heap. The only allowed allocations are the per-client
 //!   task-completion records (whose buffers were moved into the previous
 //!   run's result), so at most one allocating step per client. The same
-//!   bound holds with the engine driven through the component/tick-heap
-//!   core (`SimCore`) instead of the direct loop.
+//!   bound holds under time slicing, across thousands of quantum
+//!   rotations served by the time-slice solve cache.
 //! * **Warm planning allocates no more than cold planning.** A warm
 //!   [`Planner::plan_warm`] call — memo translation included — must not
 //!   out-allocate the cold `plan` call it replaces on the same queue.
@@ -58,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The two gates share the one global counter; the test harness runs
+/// The gates share the one global counter; the test harness runs
 /// tests on separate threads, so measured regions must not overlap.
 static GATE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -106,17 +106,37 @@ fn gate_programs() -> Vec<ClientProgram> {
 
 #[test]
 fn steady_state_advance_is_alloc_free() {
+    assert_steady_state_alloc_free(gate_config(), gate_programs);
+}
+
+/// The same contract under time slicing: every quantum rotation and
+/// switch completion bumps the resident epoch, and the time-slice solve
+/// cache answers those re-solves from a pre-sized per-client column, so
+/// thousands of rotations still allocate nothing.
+#[test]
+fn timesliced_steady_state_is_alloc_free() {
+    let config = EngineConfig::new(DeviceSpec::a100x(), SharingMode::timesliced_default());
+    let programs = || gate_programs().into_iter().take(4).collect::<Vec<_>>();
+    assert_steady_state_alloc_free(config, programs);
+}
+
+/// Runs `programs` once to warm a scratch, then steps a recycled-scratch
+/// run one `step()` at a time under the counting allocator: the recycled
+/// run must be bit-identical and allocate only its per-client completion
+/// pushes (release builds).
+fn assert_steady_state_alloc_free(config: EngineConfig, programs: impl Fn() -> Vec<ClientProgram>) {
     let _serial = GATE_LOCK.lock().unwrap();
+    let clients = programs().len();
 
     // Warm-up run grows every scratch buffer to this roster's size and
     // records the telemetry segment count for the recycled run's hint.
-    let warm_up = Engine::new_reusing(gate_config(), gate_programs(), EngineScratch::new())
+    let warm_up = Engine::new_reusing(config.clone(), programs(), EngineScratch::new())
         .unwrap()
         .run_reusing()
         .unwrap();
     let (reference, _, scratch) = warm_up;
 
-    let mut engine = Engine::new_reusing(gate_config(), gate_programs(), scratch).unwrap();
+    let mut engine = Engine::new_reusing(config, programs(), scratch).unwrap();
     let mut per_step: Vec<u64> = Vec::with_capacity(1 << 16);
     loop {
         let (more, allocs) = measured(|| engine.step().unwrap());
@@ -137,90 +157,22 @@ fn steady_state_advance_is_alloc_free() {
     let dirty_steps = per_step.iter().filter(|&&a| a > 0).count();
     mpshare::obs::counter_add(mpshare::obs::names::ENGINE_STEADY_STATE_ALLOCS, total);
 
-    // Debug builds cross-validate the incremental solver against full
+    // Debug builds cross-validate the solve fast paths against full
     // re-solves, which allocates by design; the gate proper is release.
     if cfg!(debug_assertions) {
         return;
     }
     assert!(
-        dirty_steps <= CLIENTS,
-        "expected ≤ {CLIENTS} allocating steps (one completion push per \
+        dirty_steps <= clients,
+        "expected ≤ {clients} allocating steps (one completion push per \
          client), found {dirty_steps} of {} (allocs per step: {:?})",
         per_step.len(),
         per_step.iter().filter(|&&a| a > 0).collect::<Vec<_>>()
     );
     assert!(
-        total <= 2 * CLIENTS as u64,
+        total <= 2 * clients as u64,
         "steady-state run allocated {total} times (> {})",
-        2 * CLIENTS
-    );
-}
-
-/// The steady-state contract holds when the engine is driven through the
-/// component/tick-heap core instead of the direct `step()` loop: a
-/// single-component `SimCore` pops and re-pushes one heap entry per tick
-/// (capacity 1, no stale accumulation), so `SimCore::step` adds zero
-/// allocations on top of the engine's own.
-#[test]
-fn component_core_steady_state_is_alloc_free() {
-    use mpshare::gpusim::{Component, SimCore};
-
-    let _serial = GATE_LOCK.lock().unwrap();
-
-    let warm_up = Engine::new_reusing(gate_config(), gate_programs(), EngineScratch::new())
-        .unwrap()
-        .run_reusing()
-        .unwrap();
-    let (reference, _, scratch) = warm_up;
-
-    let mut engine = Engine::new_reusing(gate_config(), gate_programs(), scratch).unwrap();
-    let mut core = SimCore::new(1);
-    let mut per_step: Vec<u64> = Vec::with_capacity(1 << 16);
-    {
-        let mut comps: [&mut dyn Component; 1] = [&mut engine];
-        // The initial arm pass plans the first horizon (unmeasured, like
-        // the constructors above); every subsequent tick is measured.
-        core.arm_all(&mut comps).unwrap();
-        loop {
-            let (more, allocs) = measured(|| core.step(&mut comps).unwrap());
-            assert!(per_step.len() < per_step.capacity(), "step budget exceeded");
-            per_step.push(allocs);
-            if !more {
-                break;
-            }
-        }
-    }
-    assert_eq!(core.stats().max_heap_depth, 1);
-    assert_eq!(core.stats().ticks, per_step.len() as u64 - 1);
-
-    let (result, stats, _scratch) = engine.run_reusing().unwrap();
-    assert_eq!(
-        stats.ticks,
-        core.stats().ticks,
-        "every engine event must have been dispatched as a component tick"
-    );
-    assert_eq!(
-        serde_json::to_string(&result).unwrap(),
-        serde_json::to_string(&reference).unwrap(),
-        "component-core run must be bit-identical to the warm-up run"
-    );
-
-    if cfg!(debug_assertions) {
-        return;
-    }
-    let total: u64 = per_step.iter().sum();
-    let dirty_steps = per_step.iter().filter(|&&a| a > 0).count();
-    assert!(
-        dirty_steps <= CLIENTS,
-        "expected ≤ {CLIENTS} allocating steps (one completion push per \
-         client), found {dirty_steps} of {} (allocs per step: {:?})",
-        per_step.len(),
-        per_step.iter().filter(|&&a| a > 0).collect::<Vec<_>>()
-    );
-    assert!(
-        total <= 2 * CLIENTS as u64,
-        "component-core steady-state run allocated {total} times (> {})",
-        2 * CLIENTS
+        2 * clients
     );
 }
 

@@ -1,12 +1,11 @@
 //! Bitwise-equivalence properties for the engine and planner fast paths.
 //!
 //! The hot-path work in this repo — the incremental contention re-solve on
-//! single join/leave, the branch-and-bound exhaustive plan search, and the
-//! component/tick-heap engine core — is pure optimization or pure
-//! restructuring: each must return *bit-identical* results to the
-//! from-scratch path it replaces. These properties drive randomized
-//! workloads (including fault-abort churn) through both paths and compare
-//! the full outputs.
+//! single join/leave, the time-slice solve cache, and the branch-and-bound
+//! exhaustive plan search — is pure optimization: each must return
+//! *bit-identical* results to the from-scratch path it replaces. These
+//! properties drive randomized workloads (including fault-abort churn)
+//! through both paths and compare the full outputs.
 
 use mpshare::core::{MetricPriority, Planner, PlannerStrategy, WorkflowProfile};
 use mpshare::gpusim::{
@@ -57,8 +56,18 @@ fn programs_for(specs: &[SyntheticSpec]) -> Vec<ClientProgram> {
         .collect()
 }
 
-/// Runs the programs under the given sharing mode twice — incremental
-/// re-solve allowed vs. forced full re-solve — and returns both outcomes.
+/// Upper bound on kernel starts in a run of `programs` (every kernel of
+/// every task; aborted clients start fewer).
+fn kernel_starts(programs: &[ClientProgram]) -> u64 {
+    programs
+        .iter()
+        .flat_map(|p| &p.tasks)
+        .map(|t| t.kernels.len() as u64)
+        .sum()
+}
+
+/// Runs the programs under the given sharing mode twice — solve fast paths
+/// allowed vs. forced full re-solve — and returns both outcomes.
 fn run_both(
     mode: SharingMode,
     specs: &[SyntheticSpec],
@@ -68,26 +77,6 @@ fn run_both(
         let config = EngineConfig::new(device(), mode.clone())
             .with_fault_plan(faults.clone())
             .with_forced_full_resolve(force);
-        Engine::new(config, programs_for(specs))
-            .unwrap()
-            .run_with_stats()
-            .unwrap()
-    };
-    (run(false), run(true))
-}
-
-/// Runs the programs under `mode` twice — the component/tick-heap core
-/// (default) vs the historical direct `while step()` loop — and returns
-/// both outcomes.
-fn run_component_and_legacy(
-    mode: SharingMode,
-    specs: &[SyntheticSpec],
-    faults: &FaultPlan,
-) -> ((RunResult, EngineStats), (RunResult, EngineStats)) {
-    let run = |legacy: bool| {
-        let config = EngineConfig::new(device(), mode.clone())
-            .with_fault_plan(faults.clone())
-            .with_legacy_loop(legacy);
         Engine::new(config, programs_for(specs))
             .unwrap()
             .run_with_stats()
@@ -192,62 +181,31 @@ proptest! {
         prop_assert_eq!(full_stats.incremental_solves, 0);
     }
 
-    /// The component/tick-heap core must be observationally invisible: an
-    /// engine driven through `SimCore`'s global heap (the default loop)
-    /// produces a `RunResult` bit-identical to the historical direct
-    /// `while step()` loop, across random join/leave/fault sequences.
+    /// The time-slice solve cache must be invisible: quantum rotations and
+    /// switch completions that reuse a cached `{}`/`{active}` solution
+    /// produce a `RunResult` bit-identical to re-solving every
+    /// resident-set change, across random rotation/fault sequences —
+    /// while never running more full solves than kernel starts + 1.
     #[test]
-    fn component_core_matches_legacy_loop(
-        specs in prop::collection::vec(spec_strategy(), 1..6),
+    fn timeslice_reuse_matches_full_resolve(
+        specs in prop::collection::vec(spec_strategy(), 2..5),
         fault_seed in 0u64..1000,
     ) {
-        let horizons: Vec<Seconds> = programs_for(&specs)
-            .iter()
-            .map(|p| p.solo_wall_time())
-            .collect();
+        let programs = programs_for(&specs);
+        let horizons: Vec<Seconds> = programs.iter().map(|p| p.solo_wall_time()).collect();
         let faults = FaultPlan::seeded(fault_seed, &horizons, 0.5).unwrap();
-        let n = specs.len();
-        let ((comp_result, comp_stats), (legacy_result, legacy_stats)) =
-            run_component_and_legacy(SharingMode::mps_uniform(n), &specs, &faults);
-
+        let ((reuse_result, reuse_stats), (full_result, full_stats)) =
+            run_both(SharingMode::timesliced_default(), &specs, &faults);
         prop_assert_eq!(
-            serde_json::to_string(&comp_result).unwrap(),
-            serde_json::to_string(&legacy_result).unwrap(),
-            "component core vs legacy loop diverged (stats {:?} vs {:?})",
-            comp_stats,
-            legacy_stats
+            serde_json::to_string(&reuse_result).unwrap(),
+            serde_json::to_string(&full_result).unwrap(),
+            "time-slice reuse vs full resolve diverged (stats {:?} vs {:?})",
+            reuse_stats,
+            full_stats
         );
-        // The component core ticks exactly once per engine event through
-        // the global heap (one entry, re-armed after every tick); the
-        // legacy loop never touches either counter.
-        prop_assert_eq!(comp_stats.ticks, comp_stats.events);
-        prop_assert_eq!(comp_stats.heap_max_depth, 1);
-        prop_assert_eq!(legacy_stats.ticks, 0);
-        prop_assert_eq!(legacy_stats.heap_max_depth, 0);
-        prop_assert_eq!(comp_stats.events, legacy_stats.events);
-    }
-
-    /// Same pinning under time slicing, whose quantum-expiry events stress
-    /// the plan/apply split (the planned rotation flag must survive the
-    /// `next_tick`/`tick_to` handoff).
-    #[test]
-    fn component_core_matches_legacy_loop_timesliced(
-        specs in prop::collection::vec(spec_strategy(), 2..5),
-    ) {
-        let ((comp_result, comp_stats), (legacy_result, legacy_stats)) =
-            run_component_and_legacy(
-                SharingMode::timesliced_default(),
-                &specs,
-                &FaultPlan::new(),
-            );
-        prop_assert_eq!(
-            serde_json::to_string(&comp_result).unwrap(),
-            serde_json::to_string(&legacy_result).unwrap(),
-            "timesliced component core vs legacy loop diverged (stats {:?} vs {:?})",
-            comp_stats,
-            legacy_stats
-        );
-        prop_assert_eq!(comp_stats.events, legacy_stats.events);
+        prop_assert_eq!(reuse_stats.events, full_stats.events);
+        prop_assert_eq!(reuse_stats.incremental_solves, 0);
+        prop_assert!(reuse_stats.full_solves <= kernel_starts(&programs) + 1);
     }
 
     /// Branch-and-bound exhaustive planning must return the *same plan* as
@@ -305,12 +263,12 @@ fn pruned_exhaustive_matches_brute_force_n10() {
 
 /// One deterministic sweep across every sharing mechanism the runner
 /// supports — Sequential, TimeSliced, MPS, Streams, MIG — fault-free and
-/// with a mid-run client fault, pinning the component core against the
-/// legacy loop at the `GpuRunner` level. MIG matters here: it runs one
-/// engine per instance and merges, so the loop choice threads through the
-/// per-instance configs.
+/// with a mid-run client fault, pinning the solve fast paths against the
+/// forced full re-solve at the `GpuRunner` level. MIG matters here: it
+/// runs one engine per instance and merges, so the switch threads through
+/// the per-instance configs.
 #[test]
-fn gpu_runner_component_core_matches_legacy_for_all_mechanisms() {
+fn gpu_runner_fast_paths_match_full_resolve_for_all_mechanisms() {
     use mpshare::mps::{GpuRunner, GpuSharing, MigLayout, MigProfile, TimeSliceConfig};
 
     let d = device();
@@ -354,20 +312,75 @@ fn gpu_runner_component_core_matches_legacy_for_all_mechanisms() {
             } else {
                 FaultPlan::new()
             };
-            let component = GpuRunner::new(d.clone())
+            let fast = GpuRunner::new(d.clone())
                 .with_event_log(true)
                 .run_with_faults(sharing, programs.clone(), &plan)
                 .unwrap();
-            let legacy = GpuRunner::new(d.clone())
+            let full = GpuRunner::new(d.clone())
                 .with_event_log(true)
-                .with_legacy_loop(true)
+                .with_forced_full_resolve(true)
                 .run_with_faults(sharing, programs.clone(), &plan)
                 .unwrap();
             assert_eq!(
-                serde_json::to_string(&component).unwrap(),
-                serde_json::to_string(&legacy).unwrap(),
-                "mechanism {name} (faulty={faulty}) diverged between loops"
+                serde_json::to_string(&fast).unwrap(),
+                serde_json::to_string(&full).unwrap(),
+                "mechanism {name} (faulty={faulty}) diverged from the full re-solve"
             );
         }
     }
+}
+
+/// Deterministic work-counter pin on a fixed time-sliced roster (3
+/// clients × 2 tasks × 6 kernels, 2 ms quantum). The event count is the
+/// engine's value from before the time-slice solve cache existed: the
+/// cache changes which solves run, never which events happen. The forced
+/// full re-solve still solves at every resident-set change (2 407 times);
+/// the cache solves each of the 36 kernels' `{active}` sets once plus the
+/// drained set once — exactly the kernel-starts + 1 bound.
+#[test]
+fn timesliced_work_counters_are_pinned() {
+    const EVENTS: u64 = 2_409;
+    const FORCED_FULL_SOLVES: u64 = 2_407;
+    const CACHED_FULL_SOLVES: u64 = 37;
+
+    let specs: Vec<SyntheticSpec> = (0..3)
+        .map(|i| SyntheticSpec {
+            sm_demand: 0.3 + 0.2 * i as f64,
+            bw_demand: 0.1 + 0.1 * i as f64,
+            duty_cycle: 0.8,
+            duration: 0.5 + 0.25 * i as f64,
+            memory_mib: 512,
+            kernels: 6,
+            cache_sensitivity: 0.2,
+            client_sensitivity: 0.05,
+        })
+        .collect();
+    let d = device();
+    let programs: Vec<ClientProgram> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| s.to_client_program(&d, 2, i as u64 * 100).unwrap())
+        .collect();
+    let run = |force: bool| {
+        let config = EngineConfig::new(device(), SharingMode::timesliced_default())
+            .with_forced_full_resolve(force);
+        Engine::new(config, programs.clone())
+            .unwrap()
+            .run_with_stats()
+            .unwrap()
+    };
+    let (cached, stats) = run(false);
+    let (forced, forced_stats) = run(true);
+
+    assert_eq!(
+        serde_json::to_string(&cached).unwrap(),
+        serde_json::to_string(&forced).unwrap()
+    );
+    assert_eq!(stats.events, EVENTS);
+    assert_eq!(forced_stats.events, EVENTS);
+    assert_eq!(forced_stats.full_solves, FORCED_FULL_SOLVES);
+    assert_eq!(stats.incremental_solves, 0);
+    assert!(stats.full_solves <= kernel_starts(&programs) + 1);
+    assert_eq!(stats.full_solves, CACHED_FULL_SOLVES);
+    assert_eq!(stats.rate_solves, stats.full_solves);
 }
