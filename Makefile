@@ -6,12 +6,12 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all fmt clippy alloc-gate bench bench-gate fault-smoke trace-smoke fuzz-smoke clean
+.PHONY: check build test test-all fmt clippy alloc-gate bench bench-build bench-gate fault-smoke trace-smoke fuzz-smoke clean
 
 # The full tier-1 gate: release build, tests, formatting, lints, the
-# allocation gate, the fault-, trace-, and fuzz smoke runs, and the bench
-# regression gate.
-check: build test fmt clippy alloc-gate fault-smoke trace-smoke fuzz-smoke bench-gate
+# allocation gate, the fault-, trace-, and fuzz smoke runs, the end-to-end
+# benchmark build, and the bench regression gate.
+check: build test fmt clippy alloc-gate fault-smoke trace-smoke fuzz-smoke bench-build bench-gate
 
 # --workspace so member binaries (mpshare-repro, mpshare-sched,
 # mpshare-fuzz, bench_gate) exist for the smoke gates below even from a
@@ -39,9 +39,20 @@ clippy:
 # the warm-planner bound (a warm
 # `plan_warm` call allocates no more than the cold `plan` it replaces).
 # Release mode is required: debug builds run the engine's self-checking
-# cross-validation paths, which allocate by design.
+# cross-validation paths, which allocate by design. One test thread: the
+# counter is process-wide, and with parallel tests the harness thread's
+# result bookkeeping for one finished test can land inside the next
+# test's measured window.
 alloc-gate:
-	$(CARGO) test -q --release --test alloc_gate
+	$(CARGO) test -q --release --test alloc_gate -- --test-threads=1
+
+# The end-to-end benchmark (mpshare-benchmark/, driven by BENCHMARK.json)
+# is its own workspace, so `cargo build --workspace` never compiles it:
+# build and test it here so an API change it depends on cannot break it
+# silently.
+bench-build:
+	$(CARGO) build --release --offline --manifest-path mpshare-benchmark/Cargo.toml
+	$(CARGO) test --offline --manifest-path mpshare-benchmark/Cargo.toml
 
 # Engine + plan-search hot-path benchmarks; per-scenario medians (ns) are
 # written to BENCH_engine.json by the vendored criterion stand-in. A prior

@@ -174,14 +174,6 @@ fn bench_engine_gap_heavy(c: &mut Criterion) {
         &config,
         |b, config| bench_replay(b, config, programs()),
     );
-    // The same workload with the incremental contention fast path disabled:
-    // the spread against `mps_clients/48` is the measured benefit of the
-    // single-join/leave re-solve on a churn-heavy resident set.
-    group.bench_with_input(
-        BenchmarkId::new("full_resolve", clients),
-        &config.clone().with_forced_full_resolve(true),
-        |b, config| bench_replay(b, config, programs()),
-    );
     group.finish();
 }
 

@@ -5,8 +5,8 @@
 //! and scheduler ([`mpshare_core`]) promise a set of cross-cutting
 //! invariants: task and energy ledgers close, attribution decompositions
 //! sum to the measured slowdown, aborted clients go silent, and every
-//! run is bit-deterministic — serial or parallel, incremental or full
-//! contention re-solve. This crate stress-tests those promises:
+//! run is bit-deterministic — serial or parallel, with or without the
+//! time-slice solve cache. This crate stress-tests those promises:
 //!
 //! * [`scenario`] — a serializable [`Scenario`] model and a pure seeded
 //!   generator ([`Scenario::generate`]) covering workload mixes, arrival

@@ -16,8 +16,8 @@
 //!   instance logs on merge).
 //! * `energy-floor` — board energy ≥ idle power × covered time (non-MIG:
 //!   MIG instances integrate their own sliced idle draw).
-//! * `incremental-vs-full` — the run repeated with the incremental
-//!   contention re-solve and the time-slice solve cache disabled must be
+//! * `cache-vs-full` — the run repeated with the time-slice solve cache
+//!   bypassed (a contention solve at every resident-set change) must be
 //!   bit-identical (serialized `RunResult` equality).
 //! * `order` — the canonical completion sequence must be a pure function
 //!   of the completion records: seeded permutations of every per-client
@@ -219,25 +219,25 @@ fn check_engine(sc: &EngineScenario) -> Result<OracleReport> {
         }
     }
 
-    // Incremental vs forced-full contention re-solve: bit-identical.
+    // Time-slice solve cache vs forced full re-solve: bit-identical.
     let full = runner
         .clone()
         .with_forced_full_resolve(true)
         .run_with_faults(&sharing, programs.clone(), &faults)?;
-    let canon_inc = canonical_result(&result);
+    let canon_cached = canonical_result(&result);
     let canon_full = canonical_result(&full);
-    if canon_inc != canon_full {
-        let at = canon_inc
+    if canon_cached != canon_full {
+        let at = canon_cached
             .bytes()
             .zip(canon_full.bytes())
             .position(|(a, b)| a != b)
-            .unwrap_or_else(|| canon_inc.len().min(canon_full.len()));
+            .unwrap_or_else(|| canon_cached.len().min(canon_full.len()));
         violations.push(Violation::new(
-            "incremental-vs-full",
+            "cache-vs-full",
             format!(
-                "incremental and full-resolve results diverge at byte {at} \
+                "cached and full-resolve results diverge at byte {at} \
                  (lens {} vs {})",
-                canon_inc.len(),
+                canon_cached.len(),
                 canon_full.len()
             ),
         ));
@@ -341,7 +341,7 @@ fn check_engine(sc: &EngineScenario) -> Result<OracleReport> {
 
     let digest = format!(
         "{:016x}",
-        fnv1a64(format!("{canon_inc}|{attrib_canon}").as_bytes())
+        fnv1a64(format!("{canon_cached}|{attrib_canon}").as_bytes())
     );
     Ok(OracleReport { violations, digest })
 }

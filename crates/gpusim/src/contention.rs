@@ -92,16 +92,8 @@ impl PreparedContender {
 }
 
 /// Reusable buffers for [`ContentionSolver::solve_prepared_into`], so the
-/// engine's per-event solve allocates nothing after warm-up.
-///
-/// Beyond buffer reuse, the scratch doubles as the *state* of the
-/// incremental solver ([`ContentionSolver::solve_prepared_join_into`] /
-/// [`ContentionSolver::solve_prepared_leave_into`]): each full solve leaves
-/// behind the left-to-right partial sums of its three ordered reductions
-/// (SM demand, wanted bandwidth, used bandwidth) plus flags describing
-/// which paths it took. A single join/leave then only has to re-fold the
-/// sum tails from the changed position and rerun the O(n) final pass,
-/// instead of rebuilding every intermediate vector.
+/// engine's per-event solve allocates nothing after warm-up. The contents
+/// carry no meaning between solves: every solve overwrites what it reads.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
     r1: Vec<f64>,
@@ -110,20 +102,6 @@ pub struct SolveScratch {
     granted: Vec<f64>,
     order: Vec<usize>,
     bw_used: Vec<f64>,
-    /// `sm_prefix[j]` = fold of the first `j` SM-demand terms (len n+1).
-    sm_prefix: Vec<f64>,
-    /// Same shape for the wanted-bandwidth fold.
-    wanted_prefix: Vec<f64>,
-    /// Same shape for the used-bandwidth fold.
-    bw_prefix: Vec<f64>,
-    /// Last solve hit SM oversubscription (`compute_scale != 1`).
-    scaled: bool,
-    /// Last solve took the bandwidth water-fill path (`granted != wanted`).
-    bw_constrained: bool,
-    /// The vectors above mirror the last solved input; cleared on entry to
-    /// every solve and set only on a completed one, so an aborted
-    /// incremental attempt can never be mistaken for valid state.
-    valid: bool,
 }
 
 impl SolveScratch {
@@ -145,17 +123,6 @@ impl SolveScratch {
         self.granted.reserve(n);
         self.order.reserve(n);
         self.bw_used.reserve(n);
-        self.sm_prefix.reserve(n + 1);
-        self.wanted_prefix.reserve(n + 1);
-        self.bw_prefix.reserve(n + 1);
-    }
-
-    /// Marks the scratch as holding no previous solution, so the next
-    /// incremental join/leave falls back to a full solve. Called when a
-    /// recycled scratch moves to a new engine: the new run must not splice
-    /// into the previous run's prefix sums.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
     }
 }
 
@@ -237,39 +204,17 @@ impl ContentionSolver {
         out: &mut Vec<Allocation>,
     ) {
         out.clear();
-        scratch.valid = false;
-        let n = prepared.len();
-        if n == 0 {
-            // Record the empty solve so an incremental join from the idle
-            // state has valid (trivial) prefixes to extend.
-            scratch.r1.clear();
-            scratch.r2.clear();
-            scratch.wanted.clear();
-            scratch.granted.clear();
-            scratch.bw_used.clear();
-            scratch.sm_prefix.clear();
-            scratch.sm_prefix.push(0.0);
-            scratch.wanted_prefix.clear();
-            scratch.wanted_prefix.push(0.0);
-            scratch.bw_prefix.clear();
-            scratch.bw_prefix.push(0.0);
-            scratch.scaled = false;
-            scratch.bw_constrained = false;
-            scratch.valid = true;
+        if prepared.is_empty() {
             return;
         }
 
         // Steps 1–2 (partition-capped speed, rescaled demands) are baked
         // into `prepared`; proportional SM-throughput contention follows.
         // The explicit fold is bit-identical to `Iterator::sum` (same
-        // left-to-right `acc + term` chain) and leaves the partial sums
-        // behind for the incremental solver.
-        scratch.sm_prefix.clear();
-        scratch.sm_prefix.push(0.0);
+        // left-to-right `acc + term` chain).
         let mut total_sm_demand = 0.0;
         for p in prepared {
             total_sm_demand += p.sm_demand * p.speed_cap;
-            scratch.sm_prefix.push(total_sm_demand);
         }
 
         if total_sm_demand <= 1.0 {
@@ -280,8 +225,6 @@ impl ContentionSolver {
             // multi-pass pipeline executed, so every value is identical).
             scratch.r1.clear();
             scratch.wanted.clear();
-            scratch.wanted_prefix.clear();
-            scratch.wanted_prefix.push(0.0);
             let mut total_wanted = 0.0;
             for p in prepared {
                 let r = p.speed_cap;
@@ -289,31 +232,19 @@ impl ContentionSolver {
                 scratch.r1.push(r);
                 scratch.wanted.push(w);
                 total_wanted += w;
-                scratch.wanted_prefix.push(total_wanted);
             }
             if total_wanted <= 1.0 {
                 // No water-fill either: `granted == wanted` makes
                 // `r2 = r1·(g/w).min(1) = r1·1.0 = r1` exact (x/x == 1.0
                 // for any finite non-zero x, and w == 0 keeps r2 = r1), and
                 // `bw_used = bw_demand·r2 = bw_demand·r1 = wanted` is the
-                // same multiplication of the same operands. The per-element
-                // branch of the historical r2 pass collapses to copies.
-                scratch.granted.clear();
-                scratch.granted.extend_from_slice(&scratch.wanted);
-                scratch.r2.clear();
-                scratch.r2.extend_from_slice(&scratch.r1);
-                scratch.bw_used.clear();
-                scratch.bw_used.extend_from_slice(&scratch.wanted);
-                scratch.bw_prefix.clear();
-                scratch.bw_prefix.extend_from_slice(&scratch.wanted_prefix);
-                self.finish_solve(prepared, total_wanted, &scratch.bw_used, &scratch.r2, out);
-                scratch.scaled = false;
-                scratch.bw_constrained = false;
-                scratch.valid = true;
+                // same multiplication of the same operands. So r1 and
+                // wanted stand in for r2 and bw_used unchanged.
+                self.finish_solve(prepared, total_wanted, &scratch.wanted, &scratch.r1, out);
                 return;
             }
             // Bandwidth-constrained tail (r1/wanted already computed).
-            self.solve_constrained_tail(prepared, total_wanted, false, scratch, out);
+            self.solve_constrained_tail(prepared, total_wanted, scratch, out);
             return;
         }
 
@@ -330,14 +261,11 @@ impl ContentionSolver {
                 .zip(&scratch.r1)
                 .map(|(p, r)| p.bw_demand * r),
         );
-        scratch.wanted_prefix.clear();
-        scratch.wanted_prefix.push(0.0);
         let mut total_wanted = 0.0;
         for w in &scratch.wanted {
             total_wanted += *w;
-            scratch.wanted_prefix.push(total_wanted);
         }
-        self.solve_constrained_tail(prepared, total_wanted, true, scratch, out);
+        self.solve_constrained_tail(prepared, total_wanted, scratch, out);
     }
 
     /// Steps 3–4 for solves that left the fused fast path: max-min
@@ -348,11 +276,10 @@ impl ContentionSolver {
         &self,
         prepared: &[PreparedContender],
         total_wanted: f64,
-        scaled: bool,
         scratch: &mut SolveScratch,
         out: &mut Vec<Allocation>,
     ) {
-        let bw_constrained = max_min_share_with_total(
+        max_min_share_with_total(
             &scratch.wanted,
             total_wanted,
             1.0,
@@ -383,168 +310,16 @@ impl ContentionSolver {
                 .zip(&scratch.r2)
                 .map(|(p, r)| p.bw_demand * r),
         );
-        scratch.bw_prefix.clear();
-        scratch.bw_prefix.push(0.0);
         let mut total_bw_used = 0.0;
         for b in &scratch.bw_used {
             total_bw_used += *b;
-            scratch.bw_prefix.push(total_bw_used);
         }
 
         self.finish_solve(prepared, total_bw_used, &scratch.bw_used, &scratch.r2, out);
-        scratch.scaled = scaled;
-        scratch.bw_constrained = bw_constrained;
-        scratch.valid = true;
     }
 
-    /// Incremental re-solve after a single contender joined at `pos`
-    /// (`prepared` is the membership *after* the join, in solve order).
-    ///
-    /// Succeeds only on the linear fast path — the previous solve (mirrored
-    /// by `scratch`) and the new one both avoid SM oversubscription and the
-    /// bandwidth water-fill, so every unchanged contender's intermediate
-    /// values are bitwise identical (`compute_scale == 1` makes
-    /// `r1 = speed_cap·1.0 = speed_cap` exact, and `granted == wanted`
-    /// makes `r2 = r1·(g/w).min(1) = r1·1.0 = r1` exact). Only the sum
-    /// tails from `pos` are re-folded — the same `acc + term` chain the
-    /// full solve would execute — and the final pressure pass runs
-    /// unchanged, so the result is bit-identical to a from-scratch solve
-    /// (cross-checked by the engine in debug builds).
-    ///
-    /// Returns `false` — caller must fall back to
-    /// [`Self::solve_prepared_into`] — when the scratch is stale or either
-    /// solve leaves the fast path. The scratch may then be partially
-    /// updated; the full solve rebuilds it entirely.
-    pub fn solve_prepared_join_into(
-        &self,
-        prepared: &[PreparedContender],
-        pos: usize,
-        scratch: &mut SolveScratch,
-        out: &mut Vec<Allocation>,
-    ) -> bool {
-        let n = prepared.len();
-        if !scratch.valid
-            || scratch.scaled
-            || scratch.bw_constrained
-            || pos >= n
-            || scratch.r1.len() + 1 != n
-        {
-            return false;
-        }
-        scratch.valid = false;
-
-        // Re-fold the SM-demand tail with the inserted term.
-        let mut acc = scratch.sm_prefix[pos];
-        scratch.sm_prefix.truncate(pos + 1);
-        for p in &prepared[pos..] {
-            acc += p.sm_demand * p.speed_cap;
-            scratch.sm_prefix.push(acc);
-        }
-        if acc > 1.0 {
-            return false; // compute_scale != 1: every r1 changes.
-        }
-        let compute_scale = 1.0;
-        scratch
-            .r1
-            .insert(pos, prepared[pos].speed_cap * compute_scale);
-        scratch
-            .wanted
-            .insert(pos, prepared[pos].bw_demand * scratch.r1[pos]);
-
-        let mut acc = scratch.wanted_prefix[pos];
-        scratch.wanted_prefix.truncate(pos + 1);
-        for w in &scratch.wanted[pos..] {
-            acc += *w;
-            scratch.wanted_prefix.push(acc);
-        }
-        if acc > 1.0 {
-            return false; // water-fill: granted diverges from wanted.
-        }
-        scratch.r2.insert(pos, scratch.r1[pos]);
-        scratch
-            .bw_used
-            .insert(pos, prepared[pos].bw_demand * scratch.r2[pos]);
-
-        let mut acc = scratch.bw_prefix[pos];
-        scratch.bw_prefix.truncate(pos + 1);
-        for b in &scratch.bw_used[pos..] {
-            acc += *b;
-            scratch.bw_prefix.push(acc);
-        }
-        let total_bw_used = acc;
-
-        self.finish_solve(prepared, total_bw_used, &scratch.bw_used, &scratch.r2, out);
-        scratch.valid = true;
-        true
-    }
-
-    /// Incremental re-solve after the contender at `pos` left (`prepared`
-    /// is the membership *after* the removal). Same fast-path contract as
-    /// [`Self::solve_prepared_join_into`]; removing a non-negative term can
-    /// only shrink the (monotonically rounded) fold totals, but the
-    /// threshold checks are kept for defense in depth.
-    pub fn solve_prepared_leave_into(
-        &self,
-        prepared: &[PreparedContender],
-        pos: usize,
-        scratch: &mut SolveScratch,
-        out: &mut Vec<Allocation>,
-    ) -> bool {
-        let n = prepared.len();
-        if !scratch.valid
-            || scratch.scaled
-            || scratch.bw_constrained
-            || n == 0
-            || pos > n
-            || scratch.r1.len() != n + 1
-        {
-            // n == 0 (last contender leaving) routes to the full solve,
-            // which handles the empty set and re-seeds the scratch.
-            return false;
-        }
-        scratch.valid = false;
-
-        scratch.r1.remove(pos);
-        scratch.wanted.remove(pos);
-        scratch.r2.remove(pos);
-        scratch.bw_used.remove(pos);
-
-        let mut acc = scratch.sm_prefix[pos];
-        scratch.sm_prefix.truncate(pos + 1);
-        for p in &prepared[pos..] {
-            acc += p.sm_demand * p.speed_cap;
-            scratch.sm_prefix.push(acc);
-        }
-        if acc > 1.0 {
-            return false;
-        }
-
-        let mut acc = scratch.wanted_prefix[pos];
-        scratch.wanted_prefix.truncate(pos + 1);
-        for w in &scratch.wanted[pos..] {
-            acc += *w;
-            scratch.wanted_prefix.push(acc);
-        }
-        if acc > 1.0 {
-            return false;
-        }
-
-        let mut acc = scratch.bw_prefix[pos];
-        scratch.bw_prefix.truncate(pos + 1);
-        for b in &scratch.bw_used[pos..] {
-            acc += *b;
-            scratch.bw_prefix.push(acc);
-        }
-        let total_bw_used = acc;
-
-        self.finish_solve(prepared, total_bw_used, &scratch.bw_used, &scratch.r2, out);
-        scratch.valid = true;
-        true
-    }
-
-    /// Step 4 (cache/sharing pressure) and allocation emission, shared
-    /// verbatim between the full and incremental solves so their final
-    /// arithmetic is the same code.
+    /// Step 4 (cache/sharing pressure) and allocation emission, shared by
+    /// the fast path and the constrained tail.
     ///
     /// Occupancy (and therefore power) follows the pre-pressure rates:
     /// a kernel slowed by cache thrash or client pressure still holds
@@ -617,24 +392,23 @@ fn max_min_share_into(
 }
 
 /// [`max_min_share_into`] with the demand total precomputed by the caller
-/// (the solver already folds it for its prefix sums). Returns whether the
-/// water-fill path was taken (`granted` diverges from `wanted`).
+/// (the solver already folds it).
 fn max_min_share_with_total(
     wanted: &[f64],
     total: f64,
     capacity: f64,
     granted: &mut Vec<f64>,
     order: &mut Vec<usize>,
-) -> bool {
+) {
     let n = wanted.len();
     granted.clear();
     granted.resize(n, 0.0);
     if n == 0 {
-        return false;
+        return;
     }
     if total <= capacity {
         granted.copy_from_slice(wanted);
-        return false;
+        return;
     }
 
     // Sort indices by demand ascending; grant in order, recomputing the fair
@@ -652,7 +426,6 @@ fn max_min_share_with_total(
         remaining_capacity -= g;
         remaining_users -= 1;
     }
-    true
 }
 
 #[cfg(test)]
@@ -848,95 +621,30 @@ mod tests {
             .collect()
     }
 
+    /// One scratch carried through every solve path (SM-oversubscribed,
+    /// bandwidth water-filled, empty, linear) must give each set exactly
+    /// the answer a fresh scratch gives: leftover buffer contents from an
+    /// earlier, larger or differently-shaped solve never leak into a later
+    /// one.
     #[test]
-    fn incremental_join_matches_full_solve_bitwise() {
+    fn scratch_history_does_not_change_the_solve() {
         let solver = ContentionSolver::new(dev(), 0.01);
-        let kernels = vec![k(0.1, 0.05), k(0.2, 0.1), k(0.15, 0.2)];
-        let prepared = prepare_all(&solver, &kernels);
+        let sets: Vec<Vec<KernelSpec>> = vec![
+            vec![k(0.8, 0.1), k(0.7, 0.2), k(0.6, 0.05)],
+            vec![k(0.2, 0.05), k(0.3, 0.9), k(0.3, 0.9)],
+            vec![],
+            vec![k(0.1, 0.05), k(0.2, 0.1)],
+        ];
         let mut scratch = SolveScratch::default();
         let mut out = Vec::new();
-        // Seed with the first two, then join the third at each position.
-        for pos in 0..=2 {
-            let mut base: Vec<PreparedContender> = vec![prepared[0], prepared[1]];
-            solver.solve_prepared_into(&base, &mut scratch, &mut out);
-            base.insert(pos, prepared[2]);
-            let mut inc = Vec::new();
-            assert!(
-                solver.solve_prepared_join_into(&base, pos, &mut scratch, &mut inc),
-                "fast path expected at pos {pos}"
-            );
-            let mut full_scratch = SolveScratch::default();
-            let mut full = Vec::new();
-            solver.solve_prepared_into(&base, &mut full_scratch, &mut full);
-            assert_eq!(bits(&inc), bits(&full), "join at pos {pos}");
-        }
-    }
-
-    #[test]
-    fn incremental_leave_matches_full_solve_bitwise() {
-        let solver = ContentionSolver::new(dev(), 0.01);
-        let kernels = vec![k(0.1, 0.05), k(0.2, 0.1), k(0.15, 0.2)];
-        let prepared = prepare_all(&solver, &kernels);
-        for pos in 0..prepared.len() {
-            let mut scratch = SolveScratch::default();
-            let mut out = Vec::new();
+        for (i, kernels) in sets.iter().enumerate() {
+            let prepared = prepare_all(&solver, kernels);
             solver.solve_prepared_into(&prepared, &mut scratch, &mut out);
-            let mut after = prepared.clone();
-            after.remove(pos);
-            let mut inc = Vec::new();
-            assert!(
-                solver.solve_prepared_leave_into(&after, pos, &mut scratch, &mut inc),
-                "fast path expected at pos {pos}"
-            );
-            let mut full_scratch = SolveScratch::default();
-            let mut full = Vec::new();
-            solver.solve_prepared_into(&after, &mut full_scratch, &mut full);
-            assert_eq!(bits(&inc), bits(&full), "leave at pos {pos}");
+            let mut fresh = Vec::new();
+            solver.solve_prepared_into(&prepared, &mut SolveScratch::default(), &mut fresh);
+            assert_eq!(bits(&out), bits(&fresh), "set {i}");
+            assert_eq!(out.len(), kernels.len(), "set {i}");
         }
-    }
-
-    #[test]
-    fn incremental_join_from_empty_set() {
-        let solver = ContentionSolver::new(dev(), 0.0);
-        let prepared = prepare_all(&solver, &[k(0.3, 0.1)]);
-        let mut scratch = SolveScratch::default();
-        let mut out = Vec::new();
-        solver.solve_prepared_into(&[], &mut scratch, &mut out);
-        let mut inc = Vec::new();
-        assert!(solver.solve_prepared_join_into(&prepared, 0, &mut scratch, &mut inc));
-        let mut full_scratch = SolveScratch::default();
-        let mut full = Vec::new();
-        solver.solve_prepared_into(&prepared, &mut full_scratch, &mut full);
-        assert_eq!(bits(&inc), bits(&full));
-    }
-
-    #[test]
-    fn incremental_falls_back_off_the_fast_path() {
-        let solver = ContentionSolver::new(dev(), 0.0);
-        let mut scratch = SolveScratch::default();
-        let mut out = Vec::new();
-
-        // Stale scratch.
-        let one = prepare_all(&solver, &[k(0.3, 0.1)]);
-        assert!(!solver.solve_prepared_join_into(&one, 0, &mut scratch, &mut out));
-
-        // Joining pushes SM demand past the device: full solve required.
-        let base = prepare_all(&solver, &[k(0.8, 0.0)]);
-        solver.solve_prepared_into(&base, &mut scratch, &mut out);
-        let both = prepare_all(&solver, &[k(0.8, 0.0), k(0.8, 0.0)]);
-        assert!(!solver.solve_prepared_join_into(&both, 1, &mut scratch, &mut out));
-
-        // Previous solve was bandwidth water-filled: scratch unusable.
-        let hogs = prepare_all(&solver, &[k(0.3, 0.9), k(0.3, 0.9)]);
-        solver.solve_prepared_into(&hogs, &mut scratch, &mut out);
-        let less = prepare_all(&solver, &[k(0.3, 0.9)]);
-        assert!(!solver.solve_prepared_leave_into(&less, 1, &mut scratch, &mut out));
-
-        // A failed attempt leaves the scratch invalid until the next full
-        // solve.
-        solver.solve_prepared_into(&less, &mut scratch, &mut out);
-        let mut inc = Vec::new();
-        assert!(!solver.solve_prepared_leave_into(&[], 0, &mut scratch, &mut inc));
     }
 
     #[test]

@@ -88,11 +88,10 @@ pub struct EngineConfig {
     /// Faults to inject (empty by default: with no plan installed, every
     /// code path behaves exactly as before).
     pub faults: FaultPlan,
-    /// Testing/benchmark hook: disable the incremental contention solver
-    /// and the time-slice solve cache, and re-solve every resident-set
-    /// change from scratch. Results are bit-identical either way (that is
-    /// both fast paths' contract); this exists so equivalence tests and
-    /// the incremental-vs-full bench pair can exercise both paths.
+    /// Testing hook: bypass the time-slice solve cache and re-solve every
+    /// resident-set change from scratch. Results are bit-identical either
+    /// way (that is the cache's contract); this is the reference the
+    /// equivalence tests and the fuzz oracle compare the cache against.
     pub force_full_resolve: bool,
 }
 
@@ -453,14 +452,13 @@ impl ClientColumns {
 
 /// Reusable engine buffers, recycled across runs.
 ///
-/// [`Engine::new_reusing`] moves these buffers into the engine (clearing
-/// and re-sizing them for the new client roster) and
-/// [`Engine::run_reusing`] hands them back when the run completes, so a
+/// [`Engine::new_prevalidated`] moves these buffers into the engine
+/// (clearing and re-sizing them for the new client roster) and
+/// [`Engine::run_recycling`] hands them back when the run completes, so a
 /// sweep or benchmark that simulates many rosters back to back performs
 /// no per-run buffer allocation beyond the results it keeps
 /// ([`RunResult`] owns its telemetry, completions and failures). A
-/// default-constructed scratch is empty; `Engine::new` is
-/// `new_reusing` with one.
+/// default-constructed scratch is empty; `Engine::new` starts from one.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     cols: ClientColumns,
@@ -567,12 +565,6 @@ pub struct Engine {
     seq_head: usize,
     /// Static arrival events, sorted by (time, client).
     arrivals: MonotoneEventQueue,
-    /// Resident-set change since the last solve, for the incremental
-    /// solver. Anything beyond a single join/leave degrades to `Invalid`
-    /// (full re-solve).
-    delta: SolveDelta,
-    incremental_solves: u64,
-    full_solves: u64,
     max_queue_depth: u64,
     /// Time step planned by the last [`Engine::next_tick`], consumed by the
     /// matching [`Engine::tick_to`]. Stored rather than recomputed from the
@@ -585,36 +577,14 @@ pub struct Engine {
     planned_quantum_event: bool,
 }
 
-/// Accumulated resident-set membership change between rate solves.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SolveDelta {
-    /// No membership change recorded (the cache is fresh).
-    None,
-    /// Exactly one client joined the scheduled set.
-    Join(usize),
-    /// Exactly one client left the scheduled set.
-    Leave(usize),
-    /// Multiple or structural changes (time-slice rotations, drain state):
-    /// only a full solve is safe.
-    Invalid,
-}
-
 /// Hot-path counters from one engine run (see [`Engine::run_with_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Discrete events processed (calls to the time-advancement step).
     pub events: u64,
-    /// Contention/power re-solves performed
-    /// (`incremental_solves + full_solves`).
+    /// Contention/power solves run. Time-sliced resident-set changes
+    /// served from the slice solve cache are not solves and do not count.
     pub rate_solves: u64,
-    /// Re-solves satisfied by the incremental single-join/leave fast path
-    /// (see [`crate::contention::ContentionSolver::solve_prepared_join_into`]).
-    pub incremental_solves: u64,
-    /// Re-solves that ran the full pipeline (first solve, multi-client
-    /// deltas, fast-path bailouts, a time-sliced set not yet cached, or
-    /// [`EngineConfig::force_full_resolve`]). Time-sliced resident-set
-    /// changes served from the slice cache count as neither kind.
-    pub full_solves: u64,
     /// Resident-set epoch transitions (kernel starts/finishes, context
     /// switches). The cache guarantees `rate_solves <= resident_changes`:
     /// events that only advance time reuse the previous solution.
@@ -629,29 +599,20 @@ impl Engine {
     /// against the device, the partition list length, and the MPS client
     /// limit.
     pub fn new(config: EngineConfig, programs: Vec<ClientProgram>) -> Result<Self> {
-        Self::new_reusing(config, programs, EngineScratch::default())
-    }
-
-    /// [`Engine::new`] with recycled buffers from a previous run (see
-    /// [`EngineScratch`]). Behaviour is bit-identical to a fresh engine:
-    /// every buffer is cleared and re-initialized; only capacity survives.
-    pub fn new_reusing(
-        config: EngineConfig,
-        programs: Vec<ClientProgram>,
-        scratch: EngineScratch,
-    ) -> Result<Self> {
         let device = config.device.clone().validated()?;
         for p in &programs {
             p.validate(&device)?;
         }
-        Self::build(config, device, programs, scratch)
+        Self::build(config, device, programs, EngineScratch::default())
     }
 
-    /// [`Engine::new_reusing`] for a roster validated ahead of time (see
-    /// [`ValidatedPrograms`]): skips the per-kernel validation walk, which
+    /// [`Engine::new`] for a roster validated ahead of time (see
+    /// [`ValidatedPrograms`]), with recycled buffers from a previous run
+    /// (see [`EngineScratch`]). Skips the per-kernel validation walk, which
     /// dominates construction for large rosters. The roster must have been
     /// validated against this config's device — a mismatch is an error, not
-    /// a silent trust.
+    /// a silent trust. Behaviour is bit-identical to a fresh engine: every
+    /// buffer is cleared and re-initialized; only capacity survives.
     pub fn new_prevalidated(
         config: EngineConfig,
         roster: ValidatedPrograms,
@@ -775,9 +736,6 @@ impl Engine {
         prepared_scratch.reserve(n);
         allocations_scratch.clear();
         allocations_scratch.reserve(n);
-        // A recycled scratch must not let this engine's first solve extend
-        // the previous run's prefix sums.
-        solve_scratch.invalidate();
         solve_scratch.reserve(n);
         Ok(Engine {
             config,
@@ -822,9 +780,6 @@ impl Engine {
             terminated_count: 0,
             seq_head: 0,
             arrivals,
-            delta: SolveDelta::None,
-            incremental_solves: 0,
-            full_solves: 0,
             max_queue_depth: 0,
             planned_dt: f64::NAN,
             planned_quantum_event: false,
@@ -837,34 +792,10 @@ impl Engine {
     }
 
     /// Marks the resident kernel set (or the GPU's drain state during a
-    /// context switch) as changed — the next [`Engine::advance`] must
-    /// re-solve rates and power — and folds the membership change into the
-    /// pending [`SolveDelta`] for the incremental solver.
-    fn note_delta(&mut self, change: SolveDelta) {
+    /// context switch) as changed: the next [`Engine::plan_advance`] must
+    /// re-solve rates and power.
+    fn bump_epoch(&mut self) {
         self.resident_epoch += 1;
-        self.delta = match self.delta {
-            SolveDelta::None => change,
-            _ => SolveDelta::Invalid,
-        };
-    }
-
-    /// Client `i`'s kernel landed on the GPU. In time-sliced mode kernel
-    /// starts do not imply scheduling (the `active` pointer decides), so
-    /// the delta degrades to `Invalid` there via `try_incremental_*`'s
-    /// mode check; recording `Join` is still correct because those paths
-    /// refuse it.
-    fn bump_epoch_join(&mut self, i: usize) {
-        self.note_delta(SolveDelta::Join(i));
-    }
-
-    /// Client `i`'s kernel left the GPU.
-    fn bump_epoch_leave(&mut self, i: usize) {
-        self.note_delta(SolveDelta::Leave(i));
-    }
-
-    /// Structural change (time-slice rotation / drain): full solve only.
-    fn bump_epoch_invalidate(&mut self) {
-        self.note_delta(SolveDelta::Invalid);
     }
 
     /// Re-arms transition processing for client `i` (idempotent per pass).
@@ -959,15 +890,8 @@ impl Engine {
             .map(|(result, stats, _roster, _scratch)| (result, stats))
     }
 
-    /// Like [`Engine::run_with_stats`], but also hands the internal
-    /// buffers back for the next [`Engine::new_reusing`].
-    pub fn run_reusing(self) -> Result<(RunResult, EngineStats, EngineScratch)> {
-        let (result, stats, _roster, scratch) = self.run_recycling()?;
-        Ok((result, stats, scratch))
-    }
-
-    /// Like [`Engine::run_reusing`], but additionally hands back the
-    /// (immutable, still-valid) client roster for the next
+    /// Like [`Engine::run_with_stats`], but also hands back the internal
+    /// buffers and the (immutable, still-valid) client roster for the next
     /// [`Engine::new_prevalidated`]. The steady-state replay loop —
     /// roster and scratch round-tripping through each run — constructs
     /// engines with no program clone and no re-validation.
@@ -1140,8 +1064,6 @@ impl Engine {
         let stats = EngineStats {
             events: self.events,
             rate_solves: self.rate_solves,
-            incremental_solves: self.incremental_solves,
-            full_solves: self.full_solves,
             resident_changes: self.resident_epoch,
             max_queue_depth: self.max_queue_depth,
         };
@@ -1287,7 +1209,7 @@ impl Engine {
         self.timer_remove(i);
         if was_running {
             self.running_remove(i);
-            self.bump_epoch_leave(i);
+            self.bump_epoch();
         }
         self.on_termination();
         self.record(i, EventKind::ClientFault { origin });
@@ -1381,7 +1303,7 @@ impl Engine {
             self.cols.prepared[i] = prepared;
             self.cols.slice_solution[i] = None;
             self.running_insert(i);
-            self.bump_epoch_join(i);
+            self.bump_epoch();
             self.record(
                 i,
                 EventKind::KernelStart {
@@ -1426,7 +1348,7 @@ impl Engine {
     fn finish_kernel(&mut self, i: usize) {
         // The kernel leaves the GPU here no matter which phase follows.
         self.running_remove(i);
-        self.bump_epoch_leave(i);
+        self.bump_epoch();
         let ti = self.cols.task_idx[i];
         let ki = self.cols.kernel_idx[i];
         let task = &self.programs[i].tasks[ti];
@@ -1504,11 +1426,11 @@ impl Engine {
                 self.next_rr = (i + 1) % n;
                 self.quantum_remaining = quantum;
                 self.switch_remaining = if switching_from_other { switch } else { 0.0 };
-                self.bump_epoch_invalidate();
+                self.bump_epoch();
             }
             None => {
                 if self.active.is_some() || self.switch_remaining > EPS {
-                    self.bump_epoch_invalidate();
+                    self.bump_epoch();
                 }
                 self.active = None;
                 self.quantum_remaining = 0.0;
@@ -1551,7 +1473,7 @@ impl Engine {
         };
         if Some(next) != self.active {
             self.switch_remaining = switch;
-            self.bump_epoch_invalidate();
+            self.bump_epoch();
             self.record(Event::DEVICE, EventKind::ContextSwitch { to_client: next });
         }
         self.active = Some(next);
@@ -1591,36 +1513,15 @@ impl Engine {
     /// into the persistent cache. All intermediate buffers are reused, so
     /// this allocates nothing after warm-up.
     ///
-    /// When the accumulated [`SolveDelta`] is a single join/leave, the
-    /// previous solution is updated in place through the contention
-    /// solver's incremental entry points; anything else (or a fast-path
-    /// bailout, or [`EngineConfig::force_full_resolve`]) runs the full
-    /// pipeline. Both paths produce bit-identical allocations — the
-    /// incremental one is cross-checked against a from-scratch solve in
-    /// debug builds.
-    ///
     /// Under time slicing, a scheduled set solved before is served from
-    /// the slice cache instead (see [`Engine::reuse_slice_solution`]).
+    /// the slice cache instead (see [`Engine::reuse_slice_solution`]),
+    /// unless [`EngineConfig::force_full_resolve`] is set.
     fn refresh_solution(&mut self) {
-        let delta = std::mem::replace(&mut self.delta, SolveDelta::None);
         let time_sliced = matches!(self.config.mode, SharingMode::TimeSliced { .. });
         if time_sliced && !self.config.force_full_resolve && self.reuse_slice_solution() {
             return;
         }
-        let incremental = !self.config.force_full_resolve
-            && match delta {
-                SolveDelta::Join(i) => self.try_incremental_join(i),
-                SolveDelta::Leave(i) => self.try_incremental_leave(i),
-                SolveDelta::None | SolveDelta::Invalid => false,
-            };
-        if incremental {
-            self.incremental_solves += 1;
-            #[cfg(debug_assertions)]
-            self.cross_check_incremental();
-        } else {
-            self.refresh_full();
-            self.full_solves += 1;
-        }
+        self.refresh_full();
         self.apply_solution();
         if time_sliced {
             self.store_slice_solution();
@@ -1678,7 +1579,7 @@ impl Engine {
     }
 
     /// Full pipeline: rebuild the scheduled set and prepared inputs, then
-    /// solve from scratch (also re-seeding the incremental solver's state).
+    /// solve from scratch.
     fn refresh_full(&mut self) {
         let mut scheduled = std::mem::take(&mut self.solved_scheduled);
         scheduled.clear();
@@ -1704,53 +1605,8 @@ impl Engine {
         self.solved_scheduled = scheduled;
     }
 
-    /// Single-join incremental path: splice the joining client into the
-    /// previous solve's inputs and run the solver's linear fast path.
-    /// Returns `false` (leaving `refresh_full` to rebuild everything) when
-    /// the fast path does not apply.
-    fn try_incremental_join(&mut self, i: usize) -> bool {
-        if matches!(self.config.mode, SharingMode::TimeSliced { .. }) {
-            // Kernel starts do not imply scheduling under time slicing.
-            return false;
-        }
-        let Err(pos) = self.solved_scheduled.binary_search(&i) else {
-            debug_assert!(false, "joining client {i} already scheduled");
-            return false;
-        };
-        debug_assert!(self.is_running(i), "joining client {i} is not running");
-        let prepared = self.cols.prepared[i];
-        self.solved_scheduled.insert(pos, i);
-        self.prepared_scratch.insert(pos, prepared);
-        self.solver.solve_prepared_join_into(
-            &self.prepared_scratch,
-            pos,
-            &mut self.solve_scratch,
-            &mut self.allocations_scratch,
-        )
-    }
-
-    /// Single-leave incremental path (see [`Engine::try_incremental_join`]).
-    fn try_incremental_leave(&mut self, i: usize) -> bool {
-        if matches!(self.config.mode, SharingMode::TimeSliced { .. }) {
-            return false;
-        }
-        let Ok(pos) = self.solved_scheduled.binary_search(&i) else {
-            debug_assert!(false, "leaving client {i} was not scheduled");
-            return false;
-        };
-        self.solved_scheduled.remove(pos);
-        self.prepared_scratch.remove(pos);
-        self.solver.solve_prepared_leave_into(
-            &self.prepared_scratch,
-            pos,
-            &mut self.solve_scratch,
-            &mut self.allocations_scratch,
-        )
-    }
-
     /// Derives the cached rate/power state from `allocations_scratch` and
-    /// `solved_scheduled` — the shared tail of the full and incremental
-    /// solve paths (see [`derive_solution`]).
+    /// `solved_scheduled` (see [`derive_solution`]).
     fn apply_solution(&mut self) {
         // Streams of one process interleave like a single client as far as
         // the power-peak model is concerned.
@@ -1816,33 +1672,6 @@ impl Engine {
             ),
             state(&rates, &dyn_powers, sm_util, bw_util, pstate),
             "time-slice solve reuse diverged from a from-scratch solve"
-        );
-    }
-
-    /// Debug-build invariant: an incremental solve must equal a
-    /// from-scratch solve of the same membership, bit for bit.
-    #[cfg(debug_assertions)]
-    fn cross_check_incremental(&self) {
-        debug_assert_eq!(
-            self.solved_scheduled,
-            self.scheduled_running(),
-            "incremental solve membership diverged from the engine state"
-        );
-        let mut scratch = SolveScratch::default();
-        let mut full = Vec::new();
-        self.solver
-            .solve_prepared_into(&self.prepared_scratch, &mut scratch, &mut full);
-        let identical = full.len() == self.allocations_scratch.len()
-            && full.iter().zip(&self.allocations_scratch).all(|(a, b)| {
-                a.rate.to_bits() == b.rate.to_bits()
-                    && a.sm_share.to_bits() == b.sm_share.to_bits()
-                    && a.bw_share.to_bits() == b.bw_share.to_bits()
-                    && a.dyn_power_watts.to_bits() == b.dyn_power_watts.to_bits()
-            });
-        debug_assert!(
-            identical,
-            "incremental solve diverged from full solve: {:?} vs {full:?}",
-            self.allocations_scratch
         );
     }
 
@@ -2005,7 +1834,7 @@ impl Engine {
                 if self.switch_remaining <= EPS {
                     // Switch complete: the incoming client's kernel lands
                     // on the (previously drained) GPU.
-                    self.bump_epoch_invalidate();
+                    self.bump_epoch();
                 }
             } else {
                 self.quantum_remaining = (self.quantum_remaining - dt).max(0.0);
@@ -2830,8 +2659,8 @@ mod tests {
             serde_json::to_string(&full).unwrap()
         );
         assert_eq!(stats.events, full_stats.events);
-        assert_eq!(stats.full_solves, 6 + 1);
-        assert!(full_stats.full_solves > 4 * stats.full_solves);
+        assert_eq!(stats.rate_solves, 6 + 1);
+        assert!(full_stats.rate_solves > 4 * stats.rate_solves);
     }
 
     /// Regression for the rotation panic path: a fault aborts the only

@@ -49,8 +49,7 @@ fn record_engine_run(
     mpshare_obs::counter_add(names::ENGINE_RUNS, 1);
     mpshare_obs::counter_add(names::ENGINE_EVENTS, stats.events);
     mpshare_obs::counter_add(names::ENGINE_RATE_SOLVES, stats.rate_solves);
-    mpshare_obs::counter_add(names::ENGINE_INCREMENTAL_SOLVES, stats.incremental_solves);
-    mpshare_obs::counter_add(names::ENGINE_FULL_SOLVES, stats.full_solves);
+    mpshare_obs::counter_add(names::ENGINE_FULL_SOLVES, stats.rate_solves);
     mpshare_obs::counter_add(names::ENGINE_RESIDENT_CHANGES, stats.resident_changes);
     mpshare_obs::observe(
         names::ENGINE_QUEUE_DEPTH,
@@ -112,7 +111,6 @@ fn record_engine_run(
     }
     let (completed, failed_tasks) = (result.tasks_completed, result.tasks_failed);
     let (events, solves) = (stats.events, stats.rate_solves);
-    let (incremental, full) = (stats.incremental_solves, stats.full_solves);
     let queue_depth = stats.max_queue_depth;
     let makespan = result.makespan.value();
     mpshare_obs::emit(
@@ -128,8 +126,6 @@ fn record_engine_run(
                 "tasks_failed": failed_tasks,
                 "events": events,
                 "rate_solves": solves,
-                "incremental_solves": incremental,
-                "full_solves": full,
                 "max_queue_depth": queue_depth,
             })
         },
@@ -267,11 +263,10 @@ impl GpuRunner {
         self
     }
 
-    /// Disables the engine's incremental re-solve and time-slice solve
-    /// cache on every run (including each MIG instance engine), forcing a
-    /// full contention solve at every resident-set change. Results are
-    /// bit-identical with the fast paths — the fuzz harness runs both and
-    /// compares.
+    /// Bypasses the engine's time-slice solve cache on every run
+    /// (including each MIG instance engine), forcing a contention solve at
+    /// every resident-set change. Results are bit-identical with the cache
+    /// — the fuzz harness runs both and compares.
     pub fn with_forced_full_resolve(mut self, force: bool) -> Self {
         self.force_full_resolve = force;
         self

@@ -24,7 +24,10 @@ pub mod names {
     pub const ENGINE_RUNS: &str = "mpshare_engine_runs_total";
     pub const ENGINE_EVENTS: &str = "mpshare_engine_events_total";
     pub const ENGINE_RATE_SOLVES: &str = "mpshare_engine_rate_solves_total";
+    /// No longer emitted (the engine has one solve path); kept so existing
+    /// readers still resolve the name, which reads 0.
     pub const ENGINE_INCREMENTAL_SOLVES: &str = "mpshare_engine_incremental_solves_total";
+    /// Emitted from `EngineStats::rate_solves`: every solve is a full solve.
     pub const ENGINE_FULL_SOLVES: &str = "mpshare_engine_full_solves_total";
     pub const ENGINE_RESIDENT_CHANGES: &str = "mpshare_engine_resident_changes_total";
     /// Heap allocations observed during a measured steady-state engine
@@ -181,7 +184,6 @@ impl MetricsRegistry {
             ENGINE_RUNS,
             ENGINE_EVENTS,
             ENGINE_RATE_SOLVES,
-            ENGINE_INCREMENTAL_SOLVES,
             ENGINE_FULL_SOLVES,
             ENGINE_RESIDENT_CHANGES,
             ENGINE_STEADY_STATE_ALLOCS,

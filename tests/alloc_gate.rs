@@ -15,7 +15,9 @@
 //!
 //! The assertions only fire in release builds: debug builds run the
 //! engine's self-checking cross-validation paths, which allocate by
-//! design. `make check` runs this gate with `--release`.
+//! design. `make check` runs this gate with `--release` on one test
+//! thread (the counter is process-wide, so the harness's own bookkeeping
+//! for a finished test must not overlap a measured window).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -23,7 +25,7 @@ use std::sync::Mutex;
 
 use mpshare::core::{MetricPriority, PlanWarmState, Planner, PlannerStrategy, WorkflowProfile};
 use mpshare::gpusim::{
-    ClientProgram, DeviceSpec, Engine, EngineConfig, EngineScratch, SharingMode,
+    ClientProgram, DeviceSpec, Engine, EngineConfig, EngineScratch, SharingMode, ValidatedPrograms,
 };
 use mpshare::types::{Energy, Fraction, MemBytes, Percent, Power, Seconds};
 use mpshare::workloads::SyntheticSpec;
@@ -106,7 +108,7 @@ fn gate_programs() -> Vec<ClientProgram> {
 
 #[test]
 fn steady_state_advance_is_alloc_free() {
-    assert_steady_state_alloc_free(gate_config(), gate_programs);
+    assert_steady_state_alloc_free(gate_config(), gate_programs());
 }
 
 /// The same contract under time slicing: every quantum rotation and
@@ -116,27 +118,27 @@ fn steady_state_advance_is_alloc_free() {
 #[test]
 fn timesliced_steady_state_is_alloc_free() {
     let config = EngineConfig::new(DeviceSpec::a100x(), SharingMode::timesliced_default());
-    let programs = || gate_programs().into_iter().take(4).collect::<Vec<_>>();
-    assert_steady_state_alloc_free(config, programs);
+    assert_steady_state_alloc_free(config, gate_programs().into_iter().take(4).collect());
 }
 
 /// Runs `programs` once to warm a scratch, then steps a recycled-scratch
 /// run one `step()` at a time under the counting allocator: the recycled
 /// run must be bit-identical and allocate only its per-client completion
 /// pushes (release builds).
-fn assert_steady_state_alloc_free(config: EngineConfig, programs: impl Fn() -> Vec<ClientProgram>) {
+fn assert_steady_state_alloc_free(config: EngineConfig, programs: Vec<ClientProgram>) {
     let _serial = GATE_LOCK.lock().unwrap();
-    let clients = programs().len();
+    let clients = programs.len();
 
     // Warm-up run grows every scratch buffer to this roster's size and
     // records the telemetry segment count for the recycled run's hint.
-    let warm_up = Engine::new_reusing(config.clone(), programs(), EngineScratch::new())
-        .unwrap()
-        .run_reusing()
-        .unwrap();
-    let (reference, _, scratch) = warm_up;
+    let roster = ValidatedPrograms::new(&config.device, programs).unwrap();
+    let (reference, _, roster, scratch) =
+        Engine::new_prevalidated(config.clone(), roster, EngineScratch::new())
+            .unwrap()
+            .run_recycling()
+            .unwrap();
 
-    let mut engine = Engine::new_reusing(config, programs(), scratch).unwrap();
+    let mut engine = Engine::new_prevalidated(config, roster, scratch).unwrap();
     let mut per_step: Vec<u64> = Vec::with_capacity(1 << 16);
     loop {
         let (more, allocs) = measured(|| engine.step().unwrap());
@@ -146,7 +148,7 @@ fn assert_steady_state_alloc_free(config: EngineConfig, programs: impl Fn() -> V
             break;
         }
     }
-    let (result, _stats, _scratch) = engine.run_reusing().unwrap();
+    let (result, ..) = engine.run_recycling().unwrap();
     assert_eq!(
         serde_json::to_string(&result).unwrap(),
         serde_json::to_string(&reference).unwrap(),
