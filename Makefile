@@ -8,10 +8,11 @@ CARGO ?= cargo
 
 .PHONY: check build test test-all fmt clippy alloc-gate bench bench-build bench-gate fault-smoke trace-smoke fuzz-smoke clean
 
-# The full tier-1 gate: release build, tests, formatting, lints, the
-# allocation gate, the fault-, trace-, and fuzz smoke runs, the end-to-end
-# benchmark build, and the bench regression gate.
-check: build test fmt clippy alloc-gate fault-smoke trace-smoke fuzz-smoke bench-build bench-gate
+# The full tier-1 gate: release build, every workspace crate's tests (the
+# root package's included), formatting, lints, the allocation gate, the
+# fault-, trace-, and fuzz smoke runs, the end-to-end benchmark build, and
+# the bench regression gate.
+check: build test-all fmt clippy alloc-gate fault-smoke trace-smoke fuzz-smoke bench-build bench-gate
 
 # --workspace so member binaries (mpshare-repro, mpshare-sched,
 # mpshare-fuzz, bench_gate) exist for the smoke gates below even from a
@@ -35,9 +36,7 @@ clippy:
 
 # Allocation gate (tests/alloc_gate.rs): a counting global allocator
 # proves the steady-state engine contract (zero heap allocations per
-# `step()` with recycled scratch, under MPS and under time slicing) and
-# the warm-planner bound (a warm
-# `plan_warm` call allocates no more than the cold `plan` it replaces).
+# `step()` with recycled scratch, under MPS and under time slicing).
 # Release mode is required: debug builds run the engine's self-checking
 # cross-validation paths, which allocate by design. One test thread: the
 # counter is process-wide, and with parallel tests the harness thread's

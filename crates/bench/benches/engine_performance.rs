@@ -10,8 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
 use mpshare_core::{
-    anneal, workflow_profile, AnnealConfig, MetricPriority, PlanWarmState, Planner,
-    PlannerStrategy, WorkflowProfile,
+    anneal, workflow_profile, AnnealConfig, MetricPriority, Planner, PlannerStrategy,
+    WorkflowProfile,
 };
 use mpshare_gpusim::{
     ClientProgram, ContentionSolver, DeviceSpec, Engine, EngineConfig, EngineScratch, KernelSpec,
@@ -257,71 +257,6 @@ fn bench_plan_search(c: &mut Criterion) {
     group.finish();
 }
 
-/// Warm-started replanning: the online scheduler's steady-state loop,
-/// where consecutive exhaustive planning calls see queues differing by
-/// one dispatch (leave) and/or one arrival (join).
-fn bench_warm_planner(c: &mut Criterion) {
-    let device = DeviceSpec::a100x();
-    let planner = Planner::new(device.clone(), MetricPriority::balanced_product());
-    let mut group = c.benchmark_group("planner/warm");
-
-    let pool = profiled_queue(&device, 42, 16);
-    let n = 10usize;
-
-    // Same queue replanned with carried state: every estimate is a memo
-    // hit and the previous plan seeds the branch-and-bound's incumbent
-    // floor. The spread against planner/search/exhaustive_n10 is the
-    // warm-start win on an unchanged queue.
-    let profiles10: Vec<WorkflowProfile> = pool[..n].to_vec();
-    let ids10: Vec<u64> = (0..n as u64).collect();
-    let mut steady = PlanWarmState::new();
-    planner
-        .plan_warm(
-            &profiles10,
-            &ids10,
-            PlannerStrategy::Exhaustive,
-            &mut steady,
-        )
-        .unwrap();
-    group.bench_function("warm_vs_cold_n10", |b| {
-        b.iter(|| {
-            black_box(
-                planner
-                    .plan_warm(
-                        &profiles10,
-                        &ids10,
-                        PlannerStrategy::Exhaustive,
-                        &mut steady,
-                    )
-                    .unwrap(),
-            )
-        })
-    });
-
-    // Rolling churn: every call drops the queue front (dispatched) and
-    // appends a fresh arrival, so each iteration pays a memo translation
-    // plus the floor-seeded re-search — the full online replan cost.
-    let mut queue: Vec<(u64, WorkflowProfile)> =
-        (0..n).map(|i| (i as u64, pool[i].clone())).collect();
-    let mut next_id = n as u64;
-    let mut churn = PlanWarmState::new();
-    group.bench_function("online_churn_replan", |b| {
-        b.iter(|| {
-            queue.remove(0);
-            queue.push((next_id, pool[next_id as usize % pool.len()].clone()));
-            next_id += 1;
-            let profiles: Vec<WorkflowProfile> = queue.iter().map(|(_, p)| p.clone()).collect();
-            let ids: Vec<u64> = queue.iter().map(|(id, _)| *id).collect();
-            black_box(
-                planner
-                    .plan_warm(&profiles, &ids, PlannerStrategy::Exhaustive, &mut churn)
-                    .unwrap(),
-            )
-        })
-    });
-    group.finish();
-}
-
 /// The observability overhead gate: the same runner-level MPS workload
 /// (the layer carrying the obs instrumentation — engine stats, counters,
 /// daemon events) with the global recorder off and on. The `_disabled`
@@ -392,7 +327,6 @@ criterion_group!(
     bench_engine_timesliced,
     bench_engine_gap_heavy,
     bench_plan_search,
-    bench_warm_planner,
     bench_recorder_overhead,
     bench_timeline_overhead
 );

@@ -59,7 +59,7 @@ pub use online::{
     ArrivingWorkflow, DispatchRecord, OnlineFaultModel, OnlineOutcome, OnlineScheduler,
     RecoveryPolicy,
 };
-pub use planner::{PlanGroup, PlanWarmState, Planner, PlannerStrategy, SchedulePlan};
+pub use planner::{PlanGroup, Planner, PlannerStrategy, SchedulePlan};
 pub use policy::MetricPriority;
 pub use recommend::{advise, Advice};
 pub use rightsize::PartitionStrategy;

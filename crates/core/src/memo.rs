@@ -135,74 +135,6 @@ impl EstimateMemo {
         }
     }
 
-    /// Rebuilds the memo under a queue-position remap (warm-started
-    /// planning over an evolving queue; see `Planner::plan_warm`).
-    ///
-    /// `remap(old_pos)` gives the position the workflow formerly at
-    /// `old_pos` occupies in the new queue, or `None` if it left; entries
-    /// whose member list contains a departed workflow are dropped, every
-    /// other entry is re-keyed with its members remapped (and re-encoded,
-    /// since a shifted list may gain or lose mask-form eligibility). The
-    /// carried values stay bit-valid: an estimate depends only on the
-    /// member profiles in list order, and the remap preserves both the
-    /// profiles (stable ids) and their relative order.
-    pub fn translated(&self, remap: impl Fn(usize) -> Option<usize>) -> EstimateMemo {
-        let out = EstimateMemo::new();
-        // Translation itself must stay cheap on the allocator — it runs
-        // on every warm planning call. One member buffer is reused across
-        // entries, shards are pre-sized, and mask-form keys (the common
-        // case: every exhaustive-search group) re-encode heap-free.
-        let per_shard = self.len().div_ceil(SHARD_COUNT) * 2;
-        for shard in &out.shards {
-            shard
-                .write()
-                .expect("memo shard poisoned")
-                .reserve(per_shard);
-        }
-        let mut mapped: Vec<usize> = Vec::with_capacity(64);
-        for shard in &self.shards {
-            for (key, value) in shard.read().expect("memo shard poisoned").iter() {
-                mapped.clear();
-                let mut alive = true;
-                match key {
-                    GroupKey::Mask(mask) => {
-                        let mut m = *mask;
-                        while m != 0 {
-                            let old_pos = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            match remap(old_pos) {
-                                Some(new_pos) => mapped.push(new_pos),
-                                None => {
-                                    alive = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    GroupKey::Members(list) => {
-                        for &old_pos in list.iter() {
-                            match remap(old_pos as usize) {
-                                Some(new_pos) => mapped.push(new_pos),
-                                None => {
-                                    alive = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                if alive {
-                    let new_key = GroupKey::new(&mapped);
-                    out.shards[Self::shard_index(&new_key)]
-                        .write()
-                        .expect("memo shard poisoned")
-                        .insert(new_key, *value);
-                }
-            }
-        }
-        out
-    }
-
     pub fn stats(&self) -> MemoStats {
         MemoStats {
             hits: self.hits.load(Ordering::Relaxed),

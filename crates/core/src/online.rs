@@ -14,7 +14,7 @@
 //! arrival processes.
 
 use crate::executor::{Executor, ExecutorConfig, RunOutcome};
-use crate::planner::{PlanGroup, PlanWarmState, Planner, PlannerStrategy, SchedulePlan};
+use crate::planner::{PlanGroup, Planner, PlannerStrategy, SchedulePlan};
 use crate::wprofile::{workflow_profile, WorkflowProfile};
 use mpshare_gpusim::{unit_hash, DeviceSpec, FaultPlan};
 use mpshare_profiler::ProfileStore;
@@ -149,6 +149,25 @@ fn first_group(plan: &SchedulePlan) -> Result<&PlanGroup> {
     })
 }
 
+/// Rejects an empty arrival list and any arrival time that is not a
+/// finite, non-negative number. `Seconds` deserializes without the
+/// checks in `Seconds::new`, so a config file can carry either; an
+/// infinite arrival would otherwise be silently never dispatched.
+fn validate_arrivals(arrivals: &[ArrivingWorkflow]) -> Result<()> {
+    if arrivals.is_empty() {
+        return Err(Error::InvalidConfig("no arrivals".into()));
+    }
+    for (i, a) in arrivals.iter().enumerate() {
+        let t = a.arrival.value();
+        if !t.is_finite() || t < 0.0 {
+            return Err(Error::InvalidConfig(format!(
+                "arrivals[{i}].arrival must be finite and non-negative, got {t}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Online dispatcher: replans over the pending set at every free point.
 #[derive(Debug, Clone)]
 pub struct OnlineScheduler {
@@ -195,9 +214,7 @@ impl OnlineScheduler {
         faults: Option<&OnlineFaultModel>,
         policy: &RecoveryPolicy,
     ) -> Result<OnlineOutcome> {
-        if arrivals.is_empty() {
-            return Err(Error::InvalidConfig("no arrivals".into()));
-        }
+        validate_arrivals(arrivals)?;
         policy.validate()?;
         if let Some(model) = faults {
             model.validate()?;
@@ -233,11 +250,6 @@ impl OnlineScheduler {
         let mut retries = 0usize;
         let mut fault_count = 0usize;
         let mut wasted_energy = Energy::ZERO;
-        // Planner state carried across free points: consecutive pending
-        // sets usually differ by one dispatch (leave) and/or one arrival,
-        // exactly the diff `plan_warm` exploits. Arrival indices are the
-        // stable ids.
-        let mut warm = PlanWarmState::new();
 
         loop {
             // Pending = arrived (or requeued past its backoff), not yet
@@ -274,13 +286,7 @@ impl OnlineScheduler {
                     // Plan the pending set and dispatch its first group.
                     let pending_profiles: Vec<WorkflowProfile> =
                         pending.iter().map(|&i| profiles[i].clone()).collect();
-                    let pending_ids: Vec<u64> = pending.iter().map(|&i| i as u64).collect();
-                    let plan = self.planner.plan_warm(
-                        &pending_profiles,
-                        &pending_ids,
-                        self.strategy,
-                        &mut warm,
-                    )?;
+                    let plan = self.planner.plan(&pending_profiles, self.strategy)?;
                     let group = first_group(&plan)?;
                     // Map local plan indices back to arrival indices.
                     PlanGroup {
@@ -461,17 +467,12 @@ impl OnlineScheduler {
         arrivals: &[ArrivingWorkflow],
         store: &ProfileStore,
     ) -> Result<OnlineOutcome> {
-        if arrivals.is_empty() {
-            return Err(Error::InvalidConfig("no arrivals".into()));
-        }
+        validate_arrivals(arrivals)?;
         // Order by arrival (stable on ties).
         let mut order: Vec<usize> = (0..arrivals.len()).collect();
         order.sort_by(|&a, &b| {
-            arrivals[a]
-                .arrival
-                .partial_cmp(&arrivals[b].arrival)
-                .expect("finite arrivals")
-                .then(a.cmp(&b))
+            let (ta, tb) = (arrivals[a].arrival.value(), arrivals[b].arrival.value());
+            ta.total_cmp(&tb).then(a.cmp(&b))
         });
         let specs: Vec<WorkflowSpec> = arrivals.iter().map(|a| a.spec.clone()).collect();
         let mut ids = IdAllocator::new();
@@ -791,5 +792,23 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn non_finite_or_negative_arrivals_are_rejected() {
+        let s = scheduler();
+        // `Seconds` deserializes unchecked, so a config can carry either.
+        let negative: Seconds = serde_json::from_str("-1.0").unwrap();
+        for (bad, at) in [(Seconds::INFINITY, 2), (negative, 3)] {
+            let (mut arrivals, store) = arrivals();
+            arrivals[at].arrival = bad;
+            let expected = format!("arrivals[{at}].arrival");
+            for result in [s.run(&arrivals, &store), s.run_fifo(&arrivals, &store)] {
+                match result {
+                    Err(Error::InvalidConfig(msg)) => assert!(msg.contains(&expected), "{msg}"),
+                    other => panic!("arrival {bad:?} accepted: {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -30,9 +30,6 @@ pub mod names {
     /// Emitted from `EngineStats::rate_solves`: every solve is a full solve.
     pub const ENGINE_FULL_SOLVES: &str = "mpshare_engine_full_solves_total";
     pub const ENGINE_RESIDENT_CHANGES: &str = "mpshare_engine_resident_changes_total";
-    /// Heap allocations observed during a measured steady-state engine
-    /// window (reported by the counting-allocator gate; pinned to 0).
-    pub const ENGINE_STEADY_STATE_ALLOCS: &str = "mpshare_engine_steady_state_allocs_total";
     pub const ENGINE_SIM_SECONDS: &str = "mpshare_engine_sim_seconds_total";
     // Fault / recovery accounting.
     pub const FAULTS_INJECTED: &str = "mpshare_faults_injected_total";
@@ -45,8 +42,8 @@ pub mod names {
     pub const SCHED_ABANDONED: &str = "mpshare_scheduler_abandoned_total";
     // Plan search.
     pub const PLAN_CALLS: &str = "mpshare_plan_calls_total";
-    /// Planning calls that reused the previous call's translated estimate
-    /// memo and incumbent (see `Planner::plan_warm`).
+    /// No longer emitted (the planner has one cold plan path); kept so
+    /// existing readers still resolve the name, which reads 0.
     pub const PLAN_WARM_START_HITS: &str = "mpshare_plan_warm_start_hits_total";
     pub const PLAN_CANDIDATES: &str = "mpshare_plan_candidates_total";
     pub const PLAN_REJECTS: &str = "mpshare_plan_rejects_total";
@@ -186,7 +183,6 @@ impl MetricsRegistry {
             ENGINE_RATE_SOLVES,
             ENGINE_FULL_SOLVES,
             ENGINE_RESIDENT_CHANGES,
-            ENGINE_STEADY_STATE_ALLOCS,
             FAULTS_INJECTED,
             CLIENTS_FAILED,
             TASKS_COMPLETED,
@@ -196,7 +192,6 @@ impl MetricsRegistry {
             SCHED_FAULTS,
             SCHED_ABANDONED,
             PLAN_CALLS,
-            PLAN_WARM_START_HITS,
             PLAN_CANDIDATES,
             PLAN_REJECTS,
             ANNEAL_ACCEPTED,

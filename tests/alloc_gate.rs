@@ -1,17 +1,13 @@
-//! Allocation gate: proves the perf contracts that the benches can only
-//! suggest.
+//! Allocation gate: proves the engine's steady-state zero-alloc contract,
+//! which the benches can only suggest.
 //!
-//! * **Engine steady state is zero-alloc.** With a recycled
-//!   [`EngineScratch`], every `step()` of a comparable run — contention
-//!   re-solves, kernel boundaries, telemetry segments, timer churn —
-//!   touches no heap. The only allowed allocations are the per-client
-//!   task-completion records (whose buffers were moved into the previous
-//!   run's result), so at most one allocating step per client. The same
-//!   bound holds under time slicing, across thousands of quantum
-//!   rotations served by the time-slice solve cache.
-//! * **Warm planning allocates no more than cold planning.** A warm
-//!   [`Planner::plan_warm`] call — memo translation included — must not
-//!   out-allocate the cold `plan` call it replaces on the same queue.
+//! With a recycled [`EngineScratch`], every `step()` of a comparable run
+//! — contention re-solves, kernel boundaries, telemetry segments, timer
+//! churn — touches no heap. The only allowed allocations are the
+//! per-client task-completion records (whose buffers were moved into the
+//! previous run's result), so at most one allocating step per client. The
+//! same bound holds under time slicing, across thousands of quantum
+//! rotations served by the time-slice solve cache.
 //!
 //! The assertions only fire in release builds: debug builds run the
 //! engine's self-checking cross-validation paths, which allocate by
@@ -23,11 +19,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use mpshare::core::{MetricPriority, PlanWarmState, Planner, PlannerStrategy, WorkflowProfile};
 use mpshare::gpusim::{
     ClientProgram, DeviceSpec, Engine, EngineConfig, EngineScratch, SharingMode, ValidatedPrograms,
 };
-use mpshare::types::{Energy, Fraction, MemBytes, Percent, Power, Seconds};
+use mpshare::types::Fraction;
 use mpshare::workloads::SyntheticSpec;
 
 /// Passthrough to the system allocator that counts allocations (and
@@ -157,7 +152,6 @@ fn assert_steady_state_alloc_free(config: EngineConfig, programs: Vec<ClientProg
 
     let total: u64 = per_step.iter().sum();
     let dirty_steps = per_step.iter().filter(|&&a| a > 0).count();
-    mpshare::obs::counter_add(mpshare::obs::names::ENGINE_STEADY_STATE_ALLOCS, total);
 
     // Debug builds cross-validate the solve fast paths against full
     // re-solves, which allocates by design; the gate proper is release.
@@ -175,94 +169,5 @@ fn assert_steady_state_alloc_free(config: EngineConfig, programs: Vec<ClientProg
         total <= 2 * clients as u64,
         "steady-state run allocated {total} times (> {})",
         2 * clients
-    );
-}
-
-fn planner_profiles(generation: usize) -> Vec<WorkflowProfile> {
-    (0..10)
-        .map(|i| {
-            let sm = 12.0 + 8.0 * ((i + 3 * generation) % 10) as f64;
-            let power = 75.0 + 1.75 * sm + 10.0;
-            WorkflowProfile {
-                label: format!("wf-{generation}-{i}"),
-                task_count: 4,
-                avg_sm_util: Percent::new(sm),
-                avg_bw_util: Percent::new(10.0),
-                max_memory: MemBytes::from_gib(6 + (i % 4) as u64),
-                duration: Seconds::new(40.0 + 5.0 * i as f64),
-                energy: Energy::from_joules(power * (40.0 + 5.0 * i as f64)),
-                avg_power: Power::from_watts(power),
-                busy_fraction: 0.8,
-                saturation_partition: Fraction::new(0.6),
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn warm_planning_allocates_no_more_than_cold() {
-    let _serial = GATE_LOCK.lock().unwrap();
-
-    let planner = Planner::new(DeviceSpec::a100x(), MetricPriority::balanced_product());
-    let mut state = PlanWarmState::new();
-
-    // Round 0 (unmeasured): fills the warm state and spins up the
-    // parallel worker pool so neither measured call pays first-use costs.
-    let mut queue: Vec<(u64, WorkflowProfile)> = planner_profiles(0)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| (i as u64, p))
-        .collect();
-    let profiles: Vec<WorkflowProfile> = queue.iter().map(|(_, p)| p.clone()).collect();
-    let ids: Vec<u64> = queue.iter().map(|(id, _)| *id).collect();
-    planner
-        .plan_warm(&profiles, &ids, PlannerStrategy::Exhaustive, &mut state)
-        .unwrap();
-
-    // One leave (front dispatched) + one join (fresh arrival): the
-    // canonical online churn step.
-    queue.remove(0);
-    queue.push((100, planner_profiles(1).pop().unwrap()));
-    let profiles: Vec<WorkflowProfile> = queue.iter().map(|(_, p)| p.clone()).collect();
-    let ids: Vec<u64> = queue.iter().map(|(id, _)| *id).collect();
-
-    let (cold_plan, cold_allocs) = measured(|| {
-        planner
-            .plan(&profiles, PlannerStrategy::Exhaustive)
-            .unwrap()
-    });
-    let (warm_plan, warm_allocs) = measured(|| {
-        planner
-            .plan_warm(&profiles, &ids, PlannerStrategy::Exhaustive, &mut state)
-            .unwrap()
-    });
-
-    assert_eq!(state.warm_hits(), 1, "churn step must take the warm path");
-    assert_eq!(
-        serde_json::to_string(
-            &warm_plan
-                .groups
-                .iter()
-                .map(|g| &g.workflow_indices)
-                .collect::<Vec<_>>()
-        )
-        .unwrap(),
-        serde_json::to_string(
-            &cold_plan
-                .groups
-                .iter()
-                .map(|g| &g.workflow_indices)
-                .collect::<Vec<_>>()
-        )
-        .unwrap(),
-        "warm and cold plans must group identically"
-    );
-
-    if cfg!(debug_assertions) {
-        return;
-    }
-    assert!(
-        warm_allocs <= cold_allocs,
-        "warm planning allocated {warm_allocs} times vs cold {cold_allocs}"
     );
 }
