@@ -6,13 +6,13 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all fmt clippy alloc-gate bench bench-build bench-gate fault-smoke trace-smoke fuzz-smoke clean
+.PHONY: check build test test-all fmt clippy doc alloc-gate bench bench-build bench-gate fault-smoke trace-smoke fuzz-smoke clean
 
 # The full tier-1 gate: release build, every workspace crate's tests (the
-# root package's included), formatting, lints, the allocation gate, the
-# fault-, trace-, and fuzz smoke runs, the end-to-end benchmark build, and
-# the bench regression gate.
-check: build test-all fmt clippy alloc-gate fault-smoke trace-smoke fuzz-smoke bench-build bench-gate
+# root package's included), formatting, lints, warning-free API docs, the
+# allocation gate, the fault-, trace-, and fuzz smoke runs, the end-to-end
+# benchmark build, and the bench regression gate.
+check: build test-all fmt clippy doc alloc-gate fault-smoke trace-smoke fuzz-smoke bench-build bench-gate
 
 # --workspace so member binaries (mpshare-repro, mpshare-sched,
 # mpshare-fuzz, bench_gate) exist for the smoke gates below even from a
@@ -33,6 +33,11 @@ fmt:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# API docs must build without warnings, so a deleted or renamed item
+# cannot leave a dangling intra-doc link behind.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline
 
 # Allocation gate (tests/alloc_gate.rs): a counting global allocator
 # proves the steady-state engine contract (zero heap allocations per

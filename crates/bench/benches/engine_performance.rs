@@ -77,18 +77,18 @@ fn bench_solver(c: &mut Criterion) {
 /// tests/alloc_gate.rs) and no per-run clone or re-validation is measured.
 fn bench_replay(b: &mut Bencher, config: &EngineConfig, programs: Vec<ClientProgram>) {
     let mut roster = Some(ValidatedPrograms::new(&config.device, programs).unwrap());
-    let mut scratch = EngineScratch::new();
+    let mut scratch = EngineScratch::default();
     b.iter(|| {
-        let engine = Engine::new_prevalidated(
+        let engine = Engine::new(
             config.clone(),
             roster.take().unwrap(),
             std::mem::take(&mut scratch),
         )
         .unwrap();
-        let (result, _stats, recycled_roster, recycled) = engine.run_recycling().unwrap();
-        roster = Some(recycled_roster);
-        scratch = recycled;
-        black_box(result.makespan);
+        let run = engine.run().unwrap();
+        roster = Some(run.roster);
+        scratch = run.scratch;
+        black_box(run.result.makespan);
     })
 }
 

@@ -179,7 +179,7 @@ impl Planner {
     }
 
     /// Convenience: plan with `Auto`, then refine by simulated annealing
-    /// (see [`crate::anneal`]). Never scores worse than the `Auto` plan.
+    /// (see [`mod@crate::anneal`]). Never scores worse than the `Auto` plan.
     pub fn plan_annealed(
         &self,
         profiles: &[WorkflowProfile],

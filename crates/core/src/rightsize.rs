@@ -15,7 +15,6 @@
 //!   which its own solo throughput would degrade.
 
 use crate::wprofile::WorkflowProfile;
-use mpshare_mps::ActiveThreadPercentage;
 use mpshare_types::Fraction;
 use serde::{Deserialize, Serialize};
 
@@ -83,10 +82,10 @@ fn demand_partition(
     if let Some(floor) = saturation_floor {
         want = want.max(floor.value());
     }
-    let pct = ActiveThreadPercentage::from_fraction_ceil(Fraction::clamped(want))
-        .expect("clamped fraction is valid")
-        .value()
-        .max(min_percent);
+    // Round up to a whole percent, the provisioning granularity of
+    // `CUDA_MPS_ACTIVE_THREAD_PERCENTAGE`. Zero demand rounds to 0, which
+    // is not a valid MPS partition, hence the floor of 1 %.
+    let pct = ((want * 100.0).ceil() as u8).max(min_percent).max(1);
     Fraction::new(pct as f64 / 100.0)
 }
 
@@ -169,6 +168,30 @@ mod tests {
         a.saturation_partition = Fraction::new(0.3);
         let parts = PartitionStrategy::default_saturation_aware().partitions(&[&a]);
         assert_eq!(parts[0], Fraction::ONE);
+    }
+
+    /// Demand-only sizing: no headroom, no floor.
+    const FLOORLESS: PartitionStrategy = PartitionStrategy::RightSized {
+        headroom: 1.0,
+        min_percent: 0,
+    };
+
+    #[test]
+    fn demand_rounds_up_to_whole_percent() {
+        for (avg_sm, pct) in [(30.1, 0.31), (0.01, 0.01), (100.0, 1.0)] {
+            let p = profile(avg_sm, 1.0);
+            assert_eq!(FLOORLESS.partitions(&[&p])[0], Fraction::new(pct));
+        }
+    }
+
+    #[test]
+    fn zero_demand_gets_the_floor_partition() {
+        // A profile with 0 % SM utilization (e.g. a custom workflow with
+        // `sm_demand: 0`) demands nothing; it still gets a valid partition.
+        let idle = profile(0.0, 0.5);
+        let parts = PartitionStrategy::default_rightsized().partitions(&[&idle]);
+        assert_eq!(parts[0], Fraction::new(0.10));
+        assert_eq!(FLOORLESS.partitions(&[&idle])[0], Fraction::new(0.01));
     }
 
     #[test]

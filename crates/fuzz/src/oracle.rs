@@ -44,7 +44,8 @@ use mpshare_core::{
     OnlineScheduler, Planner, PlannerStrategy, RecoveryPolicy,
 };
 use mpshare_gpusim::{
-    ClientProgram, DeviceSpec, Engine, EngineConfig, FaultPlan, RunResult, SharingMode,
+    ClientProgram, DeviceSpec, Engine, EngineConfig, EngineScratch, FaultPlan, RunResult,
+    SharingMode, ValidatedPrograms,
 };
 use mpshare_mps::{GpuRunner, GpuSharing, MigLayout, MigProfile, TimeSliceConfig};
 use mpshare_profiler::ProfileStore;
@@ -297,7 +298,10 @@ fn check_engine(sc: &EngineScenario) -> Result<OracleReport> {
             .with_sharing_overhead(sc.sharing_overhead)
             .with_event_log(true)
             .with_fault_plan(faults.widen_to_domain());
-        let attrib_result = Engine::new(config.clone(), programs.clone())?.run()?;
+        let roster = ValidatedPrograms::new(&config.device, programs.clone())?;
+        let attrib_result = Engine::new(config.clone(), roster, EngineScratch::default())?
+            .run()?
+            .result;
         let report = mpshare_obs::attribute(&config, &programs, &attrib_result)?;
         for c in &report.clients {
             if c.exact != c.completed {

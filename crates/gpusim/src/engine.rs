@@ -452,13 +452,12 @@ impl ClientColumns {
 
 /// Reusable engine buffers, recycled across runs.
 ///
-/// [`Engine::new_prevalidated`] moves these buffers into the engine
-/// (clearing and re-sizing them for the new client roster) and
-/// [`Engine::run_recycling`] hands them back when the run completes, so a
-/// sweep or benchmark that simulates many rosters back to back performs
-/// no per-run buffer allocation beyond the results it keeps
-/// ([`RunResult`] owns its telemetry, completions and failures). A
-/// default-constructed scratch is empty; `Engine::new` starts from one.
+/// [`Engine::new`] moves these buffers into the engine (clearing and
+/// re-sizing them for the new client roster) and [`Engine::run`] hands
+/// them back in its [`EngineRun`], so a sweep or benchmark that simulates
+/// many rosters back to back performs no per-run buffer allocation beyond
+/// the results it keeps ([`RunResult`] owns its telemetry, completions and
+/// failures). A default-constructed scratch is empty.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     cols: ClientColumns,
@@ -480,12 +479,6 @@ pub struct EngineScratch {
     /// pre-reserves this many so an identical (or smaller) run never
     /// grows the telemetry vector mid-steady-state.
     segments_hint: usize,
-}
-
-impl EngineScratch {
-    pub fn new() -> Self {
-        EngineScratch::default()
-    }
 }
 
 /// The execution engine. Construct with [`Engine::new`], then [`Engine::run`].
@@ -566,18 +559,9 @@ pub struct Engine {
     /// Static arrival events, sorted by (time, client).
     arrivals: MonotoneEventQueue,
     max_queue_depth: u64,
-    /// Time step planned by the last [`Engine::next_tick`], consumed by the
-    /// matching [`Engine::tick_to`]. Stored rather than recomputed from the
-    /// absolute horizon so the apply side uses the exact `dt` the plan
-    /// derived (a `t - now` round-trip is not bit-identical). NaN = no
-    /// outstanding plan.
-    planned_dt: f64,
-    /// Whether the planned horizon is a time-slice quantum expiry (set by
-    /// the plan, consumed by the apply's end-of-step rotation).
-    planned_quantum_event: bool,
 }
 
-/// Hot-path counters from one engine run (see [`Engine::run_with_stats`]).
+/// Hot-path counters from one engine run (see [`EngineRun`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Discrete events processed (calls to the time-advancement step).
@@ -594,48 +578,37 @@ pub struct EngineStats {
     pub max_queue_depth: u64,
 }
 
-impl Engine {
-    /// Builds an engine for the given client programs. Validates programs
-    /// against the device, the partition list length, and the MPS client
-    /// limit.
-    pub fn new(config: EngineConfig, programs: Vec<ClientProgram>) -> Result<Self> {
-        let device = config.device.clone().validated()?;
-        for p in &programs {
-            p.validate(&device)?;
-        }
-        Self::build(config, device, programs, EngineScratch::default())
-    }
+/// Everything one [`Engine::run`] produces: the result, the hot-path
+/// counters, and the parts a next run can reuse — the (still valid) roster
+/// and the recycled buffers.
+#[derive(Debug)]
+pub struct EngineRun {
+    pub result: RunResult,
+    pub stats: EngineStats,
+    pub roster: ValidatedPrograms,
+    pub scratch: EngineScratch,
+}
 
-    /// [`Engine::new`] for a roster validated ahead of time (see
-    /// [`ValidatedPrograms`]), with recycled buffers from a previous run
-    /// (see [`EngineScratch`]). Skips the per-kernel validation walk, which
-    /// dominates construction for large rosters. The roster must have been
-    /// validated against this config's device — a mismatch is an error, not
-    /// a silent trust. Behaviour is bit-identical to a fresh engine: every
-    /// buffer is cleared and re-initialized; only capacity survives.
-    pub fn new_prevalidated(
+impl Engine {
+    /// Builds an engine for a roster validated against the config's device
+    /// (see [`ValidatedPrograms`]), reusing the buffers of `scratch` (pass
+    /// `EngineScratch::default()` for a first run). Checks the partition
+    /// list length, non-zero partitions, the MPS client limit and the
+    /// time-slice quantum. A roster validated against a different device
+    /// is an error, not a silent trust. Behaviour does not depend on the
+    /// scratch: every buffer is cleared and re-initialized; only capacity
+    /// survives.
+    pub fn new(
         config: EngineConfig,
         roster: ValidatedPrograms,
         scratch: EngineScratch,
     ) -> Result<Self> {
         if *roster.device() != config.device {
             return Err(Error::InvalidConfig(
-                "pre-validated roster does not match the engine's device".into(),
+                "validated roster does not match the engine's device".into(),
             ));
         }
         let (device, programs) = roster.into_parts();
-        Self::build(config, device, programs, scratch)
-    }
-
-    /// Shared construction tail: mode checks plus state/buffer setup.
-    /// `device` is already validated and `programs` already validated
-    /// against it.
-    fn build(
-        config: EngineConfig,
-        device: DeviceSpec,
-        programs: Vec<ClientProgram>,
-        scratch: EngineScratch,
-    ) -> Result<Self> {
         match &config.mode {
             SharingMode::Mps { partitions } => {
                 if partitions.len() != programs.len() {
@@ -781,8 +754,6 @@ impl Engine {
             seq_head: 0,
             arrivals,
             max_queue_depth: 0,
-            planned_dt: f64::NAN,
-            planned_quantum_event: false,
         })
     }
 
@@ -878,29 +849,12 @@ impl Engine {
         }
     }
 
-    /// Runs all clients to completion and returns the result.
-    pub fn run(self) -> Result<RunResult> {
-        self.run_with_stats().map(|(result, _)| result)
-    }
-
-    /// Like [`Engine::run`], but also returns the hot-path counters —
-    /// useful for asserting that the rate cache actually skips re-solves.
-    pub fn run_with_stats(self) -> Result<(RunResult, EngineStats)> {
-        self.run_recycling()
-            .map(|(result, stats, _roster, _scratch)| (result, stats))
-    }
-
-    /// Like [`Engine::run_with_stats`], but also hands back the internal
-    /// buffers and the (immutable, still-valid) client roster for the next
-    /// [`Engine::new_prevalidated`]. The steady-state replay loop —
-    /// roster and scratch round-tripping through each run — constructs
-    /// engines with no program clone and no re-validation.
-    ///
-    /// This is the engine's one run loop: every other run entry point
-    /// delegates here.
-    pub fn run_recycling(
-        mut self,
-    ) -> Result<(RunResult, EngineStats, ValidatedPrograms, EngineScratch)> {
+    /// Runs all clients to completion. Besides the result and counters, the
+    /// returned [`EngineRun`] hands back the internal buffers and the
+    /// (immutable, still-valid) client roster for the next
+    /// [`Engine::new`], so a replay loop constructs engines with no program
+    /// clone and no re-validation.
+    pub fn run(mut self) -> Result<EngineRun> {
         while self.step()? {}
         let segments_hint = self.telemetry.segments().len();
         let (result, stats) = self.build_result();
@@ -945,7 +899,12 @@ impl Engine {
             solve_scratch,
             segments_hint,
         };
-        Ok((result, stats, roster, scratch))
+        Ok(EngineRun {
+            result,
+            stats,
+            roster,
+            scratch,
+        })
     }
 
     /// Advances the simulation by exactly one event: drains every
@@ -954,34 +913,10 @@ impl Engine {
     /// once every client is terminal. [`Engine::run`] is this in a loop;
     /// it is public so harnesses (the allocation gate, debuggers) can
     /// drive and observe the engine stepwise.
-    ///
-    /// `step` is one [`Engine::next_tick`] plan immediately consumed by
-    /// its [`Engine::tick_to`]. That split is the seam a future loop over
-    /// several simulated components would interleave on.
     pub fn step(&mut self) -> Result<bool> {
-        match self.next_tick()? {
-            None => Ok(false),
-            Some(t) => {
-                self.tick_to(t)?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Plan half of [`Engine::step`]: drains zero-cost transitions at the
-    /// current time and, unless every client is terminal, plans the next
-    /// event horizon. Returns the absolute time of the engine's next
-    /// internal event, or `None` when the run is complete. The matching
-    /// [`Engine::tick_to`] must be called (with the returned time) before
-    /// the next `next_tick`.
-    pub fn next_tick(&mut self) -> Result<Option<f64>> {
-        debug_assert!(
-            self.planned_dt.is_nan(),
-            "next_tick called with an unconsumed plan"
-        );
         self.process_transitions()?;
         if self.terminated_count == self.programs.len() {
-            return Ok(None);
+            return Ok(false);
         }
         self.events += 1;
         if self.events > self.config.max_events {
@@ -990,24 +925,9 @@ impl Engine {
                 detail: format!("exceeded {} events", self.config.max_events),
             });
         }
-        let dt = self.plan_advance()?;
-        self.planned_dt = dt;
-        Ok(Some(self.now + dt))
-    }
-
-    /// Apply half of [`Engine::step`]: advances simulated time to `now` (the
-    /// horizon the preceding [`Engine::next_tick`] returned), integrating
-    /// telemetry, progress, energy and countdowns over the planned step.
-    pub fn tick_to(&mut self, now: f64) -> Result<()> {
-        let dt = self.planned_dt;
-        debug_assert!(!dt.is_nan(), "tick_to without a preceding next_tick plan");
-        debug_assert!(
-            now == self.now + dt,
-            "tick_to horizon {now} does not match the planned {}",
-            self.now + dt
-        );
-        self.planned_dt = f64::NAN;
-        self.apply_advance(dt)
+        let (dt, quantum_event) = self.plan_advance()?;
+        self.apply_advance(dt, quantum_event)?;
+        Ok(true)
     }
 
     /// Assembles the [`RunResult`] and counters after the step loop ends.
@@ -1676,10 +1596,10 @@ impl Engine {
     }
 
     /// Plans the next time step: refreshes the rate/power solution and
-    /// derives the time to the next event horizon (the body of
-    /// [`Engine::next_tick`] — no state other than the solution cache, the
-    /// depth counter and `planned_quantum_event` is mutated).
-    fn plan_advance(&mut self) -> Result<f64> {
+    /// derives the time to the next event horizon, and whether that horizon
+    /// is a time-slice quantum expiry (no state other than the solution
+    /// cache and the depth counter is mutated).
+    fn plan_advance(&mut self) -> Result<(f64, bool)> {
         // Rates/power are a pure function of the resident set (plus the
         // fixed device, partitions and overheads), so between resident-set
         // epochs the cached solution is exact — same inputs, same
@@ -1766,18 +1686,14 @@ impl Engine {
             });
         }
 
-        self.planned_quantum_event = quantum_event;
-        Ok(dt)
+        Ok((dt, quantum_event))
     }
 
     /// Applies a planned time step: integrates telemetry/progress/energy,
     /// decrements countdowns, advances `now` by `dt`, delivers arrivals and
-    /// rotates the time-slice on a planned quantum expiry (the body of
-    /// [`Engine::tick_to`]).
-    fn apply_advance(&mut self, dt: f64) -> Result<()> {
+    /// rotates the time-slice on a planned quantum expiry.
+    fn apply_advance(&mut self, dt: f64, quantum_event: bool) -> Result<()> {
         let pstate = self.solved_pstate;
-        let quantum_event = self.planned_quantum_event;
-        self.planned_quantum_event = false;
 
         // Throttle transition events.
         if pstate.capped != self.was_capped {
@@ -1926,15 +1842,21 @@ mod tests {
         c
     }
 
+    /// Validates `programs` against the config's device and runs them on
+    /// fresh buffers.
+    fn run_config(config: EngineConfig, programs: Vec<ClientProgram>) -> Result<EngineRun> {
+        let roster = ValidatedPrograms::new(&config.device, programs)?;
+        Engine::new(config, roster, EngineScratch::default())?.run()
+    }
+
     fn run(mode: SharingMode, programs: Vec<ClientProgram>) -> RunResult {
-        Engine::new(EngineConfig::new(dev(), mode), programs)
+        run_config(EngineConfig::new(dev(), mode), programs)
             .unwrap()
-            .run()
-            .unwrap()
+            .result
     }
 
     #[test]
-    fn prevalidated_recycling_loop_is_bit_identical() {
+    fn recycling_loop_is_bit_identical() {
         let programs = vec![
             one_task_client("a", 0, vec![kernel(2.0, 0.5, 0.2, 0.5); 3]),
             one_task_client("b", 1, vec![kernel(1.0, 0.7, 0.1, 0.2); 5]),
@@ -1943,12 +1865,17 @@ mod tests {
         let reference = run(SharingMode::mps_uniform(2), programs.clone());
 
         // Roster + scratch round-trip through three runs; every run must
-        // match the plain `Engine::new(...).run()` bit for bit.
+        // match a run on fresh buffers bit for bit.
         let mut roster = ValidatedPrograms::new(&dev(), programs).unwrap();
-        let mut scratch = EngineScratch::new();
+        let mut scratch = EngineScratch::default();
         for _ in 0..3 {
-            let engine = Engine::new_prevalidated(config.clone(), roster, scratch).unwrap();
-            let (result, _stats, r, s) = engine.run_recycling().unwrap();
+            let engine = Engine::new(config.clone(), roster, scratch).unwrap();
+            let EngineRun {
+                result,
+                roster: r,
+                scratch: s,
+                ..
+            } = engine.run().unwrap();
             roster = r;
             scratch = s;
             assert_eq!(
@@ -1960,13 +1887,13 @@ mod tests {
     }
 
     #[test]
-    fn prevalidated_roster_rejects_device_mismatch() {
+    fn roster_rejects_device_mismatch() {
         let programs = vec![one_task_client("a", 0, vec![kernel(1.0, 0.5, 0.1, 0.0)])];
         let roster = ValidatedPrograms::new(&dev(), programs).unwrap();
         let mut other = dev();
         other.num_sms += 1;
         let config = EngineConfig::new(other, SharingMode::mps_uniform(1));
-        let err = Engine::new_prevalidated(config, roster, EngineScratch::new());
+        let err = Engine::new(config, roster, EngineScratch::default());
         assert!(err.is_err(), "device mismatch must not be trusted");
     }
 
@@ -2163,7 +2090,7 @@ mod tests {
                 partitions: vec![Fraction::ONE, Fraction::ONE],
             },
         );
-        assert!(Engine::new(cfg, vec![c]).is_err());
+        assert!(run_config(cfg, vec![c]).is_err());
     }
 
     #[test]
@@ -2172,7 +2099,7 @@ mod tests {
             .map(|id| one_task_client("c", id, vec![kernel(0.1, 0.01, 0.0, 0.0)]))
             .collect();
         let cfg = EngineConfig::new(dev(), SharingMode::mps_uniform(49));
-        let err = Engine::new(cfg, programs).unwrap_err();
+        let err = run_config(cfg, programs).unwrap_err();
         assert!(matches!(err, Error::ClientLimitExceeded { limit: 48, .. }));
     }
 
@@ -2272,7 +2199,7 @@ mod tests {
             vec![kernel(1.0, 0.4, 0.0, 0.5), kernel(1.0, 0.4, 0.0, 0.0)],
         );
         let cfg = EngineConfig::new(dev(), SharingMode::mps_uniform(1)).with_event_log(true);
-        let r = Engine::new(cfg, vec![c]).unwrap().run().unwrap();
+        let r = run_config(cfg, vec![c]).unwrap().result;
         let spans = r.events.kernel_spans();
         assert_eq!(spans.len(), 2);
         // First kernel runs [0, 1), gap to 1.5, second kernel [1.5, 2.5).
@@ -2297,7 +2224,7 @@ mod tests {
     fn event_log_throttle_time_matches_telemetry() {
         let mk = |id| one_task_client("hot", id, vec![kernel(4.0, 0.9, 0.5, 0.0)]);
         let cfg = EngineConfig::new(dev(), SharingMode::mps_uniform(2)).with_event_log(true);
-        let r = Engine::new(cfg, vec![mk(0), mk(1)]).unwrap().run().unwrap();
+        let r = run_config(cfg, vec![mk(0), mk(1)]).unwrap().result;
         let logged = r.events.throttled_time().value();
         let integrated = r.telemetry.capped_time().value();
         assert!(logged > 0.0);
@@ -2315,7 +2242,7 @@ mod tests {
         let mut b = one_task_client("big2", 1, vec![kernel(2.0, 0.2, 0.0, 0.0)]);
         b.tasks[0].memory = MemBytes::from_gib(60);
         let cfg = EngineConfig::new(dev(), SharingMode::mps_uniform(2)).with_event_log(true);
-        let r = Engine::new(cfg, vec![a, b]).unwrap().run().unwrap();
+        let r = run_config(cfg, vec![a, b]).unwrap().result;
         assert!(r
             .events
             .events()
@@ -2358,13 +2285,12 @@ mod tests {
                 c
             })
             .collect();
-        let engine = Engine::new(
+        let EngineRun { result, stats, .. } = run_config(
             EngineConfig::new(dev(), SharingMode::mps_uniform(8)),
             programs,
         )
         .unwrap();
-        let (r, stats) = engine.run_with_stats().unwrap();
-        assert_eq!(r.tasks_completed, 8);
+        assert_eq!(result.tasks_completed, 8);
         assert!(
             stats.rate_solves <= stats.resident_changes,
             "rate solves {} must not exceed resident-set changes {}",
@@ -2381,25 +2307,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_stats_matches_run() {
-        let mk = || {
-            let programs: Vec<ClientProgram> = (0..4)
-                .map(|id| one_task_client("c", id, vec![kernel(0.5, 0.3, 0.1, 0.2)]))
-                .collect();
-            Engine::new(
-                EngineConfig::new(dev(), SharingMode::mps_uniform(4)),
-                programs,
-            )
-            .unwrap()
-        };
-        let plain = mk().run().unwrap();
-        let (with_stats, stats) = mk().run_with_stats().unwrap();
-        assert_eq!(plain.makespan, with_stats.makespan);
-        assert_eq!(plain.total_energy, with_stats.total_energy);
-        assert!(stats.events > 0 && stats.rate_solves > 0);
-    }
-
-    #[test]
     fn client_fault_aborts_mid_run_and_accounts_waste() {
         // Solo 4 s kernel, no contention (rate 1): a fault at 1.5 s wastes
         // exactly 1.5 s of progress and all dynamic energy spent so far.
@@ -2407,7 +2314,7 @@ mod tests {
         let mut faults = FaultPlan::new();
         faults.push_client_fault(Seconds::new(1.5), 0);
         let cfg = EngineConfig::new(dev(), SharingMode::mps_uniform(1)).with_fault_plan(faults);
-        let r = Engine::new(cfg, vec![c]).unwrap().run().unwrap();
+        let r = run_config(cfg, vec![c]).unwrap().result;
         assert_eq!(r.tasks_completed, 0);
         assert_eq!(r.tasks_failed, 1);
         assert!(r.clients[0].failed);
@@ -2435,7 +2342,7 @@ mod tests {
         let cfg = EngineConfig::new(dev(), SharingMode::mps_uniform(2))
             .with_fault_plan(faults)
             .with_event_log(true);
-        let r = Engine::new(cfg, vec![a, b]).unwrap().run().unwrap();
+        let r = run_config(cfg, vec![a, b]).unwrap().result;
         assert_eq!(r.tasks_completed, 0);
         assert_eq!(r.tasks_failed, 2);
         assert!(r.clients.iter().all(|c| c.failed));
@@ -2467,7 +2374,7 @@ mod tests {
         let mut faults = FaultPlan::new();
         faults.push_domain_fault(Seconds::new(2.0), 0);
         let cfg = EngineConfig::new(dev(), SharingMode::mps_uniform(2)).with_fault_plan(faults);
-        let r = Engine::new(cfg, vec![a, b]).unwrap().run().unwrap();
+        let r = run_config(cfg, vec![a, b]).unwrap().result;
         assert_eq!(r.tasks_completed, 2);
         assert_eq!(r.tasks_failed, 0);
         assert!(r.failures.is_empty());
@@ -2480,7 +2387,7 @@ mod tests {
         let plain = run(SharingMode::mps_uniform(2), vec![mk(0), mk(1)]);
         let cfg = EngineConfig::new(dev(), SharingMode::mps_uniform(2))
             .with_fault_plan(FaultPlan::default());
-        let with_plan = Engine::new(cfg, vec![mk(0), mk(1)]).unwrap().run().unwrap();
+        let with_plan = run_config(cfg, vec![mk(0), mk(1)]).unwrap().result;
         assert_eq!(plain.makespan, with_plan.makespan);
         assert_eq!(plain.total_energy, with_plan.total_energy);
         assert_eq!(plain.clients, with_plan.clients);
@@ -2495,7 +2402,7 @@ mod tests {
         let mut faults = FaultPlan::new();
         faults.push_client_fault(Seconds::new(1.0), 0);
         let cfg = EngineConfig::new(dev(), SharingMode::Sequential).with_fault_plan(faults);
-        let r = Engine::new(cfg, vec![a, b]).unwrap().run().unwrap();
+        let r = run_config(cfg, vec![a, b]).unwrap().result;
         // a dies at 1 s; b starts right then and runs its solo 3 s.
         assert!((r.clients[1].started.value() - 1.0).abs() < 1e-9);
         assert!(
@@ -2516,7 +2423,7 @@ mod tests {
         let mut faults = FaultPlan::new();
         faults.push_client_fault(Seconds::new(1.0), 0);
         let cfg = EngineConfig::new(dev(), SharingMode::mps_uniform(2)).with_fault_plan(faults);
-        let r = Engine::new(cfg, vec![a, b]).unwrap().run().unwrap();
+        let r = run_config(cfg, vec![a, b]).unwrap().result;
         // b was blocked on memory until a's abort freed 60 GiB at 1 s.
         assert_eq!(r.tasks_completed, 1);
         assert!(!r.clients[1].failed);
@@ -2534,7 +2441,7 @@ mod tests {
         faults.push_client_fault(Seconds::new(0.5), 0);
         let cfg =
             EngineConfig::new(dev(), SharingMode::timesliced_default()).with_fault_plan(faults);
-        let r = Engine::new(cfg, vec![mk(0), mk(1)]).unwrap().run().unwrap();
+        let r = run_config(cfg, vec![mk(0), mk(1)]).unwrap().result;
         assert_eq!(r.tasks_completed, 1);
         assert!(!r.clients[1].failed);
         // The survivor still finishes: the fault released the device.
@@ -2552,7 +2459,7 @@ mod tests {
                 .unwrap()
                 .widen_to_domain();
             let cfg = EngineConfig::new(dev(), SharingMode::mps_uniform(6)).with_fault_plan(faults);
-            Engine::new(cfg, programs).unwrap().run().unwrap()
+            run_config(cfg, programs).unwrap().result
         };
         let a = mk();
         let b = mk();
@@ -2647,10 +2554,8 @@ mod tests {
         let run = |force: bool| {
             let cfg = EngineConfig::new(dev(), SharingMode::timesliced_default())
                 .with_forced_full_resolve(force);
-            Engine::new(cfg, vec![mk(0), mk(1)])
-                .unwrap()
-                .run_with_stats()
-                .unwrap()
+            let run = run_config(cfg, vec![mk(0), mk(1)]).unwrap();
+            (run.result, run.stats)
         };
         let (cached, stats) = run(false);
         let (full, full_stats) = run(true);
@@ -2677,7 +2582,7 @@ mod tests {
         faults.push_client_fault(Seconds::new(0.001), 1);
         let cfg =
             EngineConfig::new(dev(), SharingMode::timesliced_default()).with_fault_plan(faults);
-        let r = Engine::new(cfg, vec![mk(0), mk(1)]).unwrap().run().unwrap();
+        let r = run_config(cfg, vec![mk(0), mk(1)]).unwrap().result;
         assert_eq!(r.tasks_completed, 1);
         assert_eq!(r.tasks_failed, 1);
         assert!(r.clients[1].failed);

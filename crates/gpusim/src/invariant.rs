@@ -322,11 +322,11 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use crate::device::DeviceSpec;
-    use crate::engine::{Engine, EngineConfig, SharingMode};
+    use crate::engine::{Engine, EngineConfig, EngineScratch, RunResult, SharingMode};
     use crate::events::EventKind;
     use crate::fault::FaultPlan;
     use crate::kernel::{KernelSpec, LaunchConfig};
-    use crate::program::{ClientProgram, TaskProgram};
+    use crate::program::{ClientProgram, TaskProgram, ValidatedPrograms};
     use mpshare_types::{Energy, Fraction, MemBytes, Seconds, TaskId};
 
     fn program(label: &str, id: u64, dur: f64) -> ClientProgram {
@@ -344,7 +344,13 @@ mod tests {
         c
     }
 
-    fn run_with_fault() -> crate::engine::RunResult {
+    fn run(config: EngineConfig, programs: Vec<ClientProgram>) -> RunResult {
+        let roster = ValidatedPrograms::new(&config.device, programs).unwrap();
+        let engine = Engine::new(config, roster, EngineScratch::default()).unwrap();
+        engine.run().unwrap().result
+    }
+
+    fn run_with_fault() -> RunResult {
         let device = DeviceSpec::a100x();
         let mut faults = FaultPlan::new();
         faults.push_client_fault(Seconds::new(1.0), 0);
@@ -356,10 +362,7 @@ mod tests {
         )
         .with_event_log(true)
         .with_fault_plan(faults.widen_to_domain());
-        Engine::new(config, vec![program("a", 0, 3.0), program("b", 1, 3.0)])
-            .unwrap()
-            .run()
-            .unwrap()
+        run(config, vec![program("a", 0, 3.0), program("b", 1, 3.0)])
     }
 
     #[test]
@@ -428,10 +431,7 @@ mod tests {
                 partitions: vec![Fraction::ONE],
             },
         );
-        let mut r = Engine::new(config, vec![program("a", 0, 1.0)])
-            .unwrap()
-            .run()
-            .unwrap();
+        let mut r = run(config, vec![program("a", 0, 1.0)]);
         assert!(r.invariant_violations(Some(1)).is_empty());
         r.wasted_progress = Seconds::new(0.5);
         let v = r.invariant_violations(Some(1));

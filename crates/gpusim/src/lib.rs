@@ -44,7 +44,8 @@ pub mod telemetry;
 pub use contention::{Allocation, ContentionSolver, PreparedContender, SolveScratch};
 pub use device::DeviceSpec;
 pub use engine::{
-    ClientOutcome, Engine, EngineConfig, EngineScratch, EngineStats, RunResult, SharingMode,
+    ClientOutcome, Engine, EngineConfig, EngineRun, EngineScratch, EngineStats, RunResult,
+    SharingMode,
 };
 pub use events::{Event, EventKind, EventLog};
 pub use fault::{unit_hash, FaultPlan, FaultRecord, FaultScope, FaultSpec};

@@ -167,9 +167,9 @@ impl ClientProgram {
 /// the device, both immutable. A steady-state driver that re-runs the
 /// same roster (benchmark replay, scenario sweeps, the recycled-scratch
 /// loop) should validate once, then construct engines with
-/// [`crate::engine::Engine::new_prevalidated`] and take the roster back
-/// from [`crate::engine::Engine::run_recycling`] — no re-validation, no
-/// per-run clone.
+/// [`crate::engine::Engine::new`] and take the roster back from the
+/// [`crate::engine::EngineRun`] of each run — no re-validation, no per-run
+/// clone.
 #[derive(Debug, Clone)]
 pub struct ValidatedPrograms {
     programs: Vec<ClientProgram>,

@@ -3,8 +3,7 @@
 //! The engine appends one [`Segment`] per piecewise-constant interval of
 //! the simulation. Because rates, utilizations and power are constant
 //! within a segment, time integrals (energy, average utilization, capped
-//! time) are exact sums — no sampling error. A `nvidia-smi`-style sampler
-//! is provided on top for the profiler crate to cross-validate against.
+//! time) are exact sums — no sampling error.
 
 use mpshare_types::{Energy, Percent, Power, Seconds};
 use serde::{Deserialize, Serialize};
@@ -183,50 +182,6 @@ impl Telemetry {
             .sum();
         Percent::clamped(integral / total.value() * 100.0)
     }
-
-    /// Produces `nvidia-smi dmon`-style samples at a fixed interval: the
-    /// instantaneous state at each sample time. Used by the profiler to
-    /// emulate the SMI query path and cross-check the exact integrals.
-    pub fn sample(&self, interval: Seconds) -> Vec<SmiSample> {
-        assert!(interval.value() > 0.0, "sampling interval must be positive");
-        let mut samples = Vec::new();
-        let Some(last) = self.segments.last() else {
-            return samples;
-        };
-        let end = last.end;
-        let mut t = Seconds::ZERO;
-        let mut idx = 0usize;
-        while t < end {
-            while idx < self.segments.len() && self.segments[idx].end <= t {
-                idx += 1;
-            }
-            if idx >= self.segments.len() {
-                break;
-            }
-            let s = &self.segments[idx];
-            // Samples that land in a gap between segments (shouldn't happen
-            // with a well-formed engine trace) report the next segment.
-            samples.push(SmiSample {
-                time: t,
-                sm_util: Percent::clamped(s.sm_util * 100.0),
-                bw_util: Percent::clamped(s.bw_util * 100.0),
-                power: s.power,
-                capped: s.capped,
-            });
-            t += interval;
-        }
-        samples
-    }
-}
-
-/// One `nvidia-smi`-style sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SmiSample {
-    pub time: Seconds,
-    pub sm_util: Percent,
-    pub bw_util: Percent,
-    pub power: Power,
-    pub capped: bool,
 }
 
 #[cfg(test)]
@@ -301,25 +256,5 @@ mod tests {
         assert_eq!(t.avg_power(), Power::ZERO);
         assert_eq!(t.avg_sm_util(), Percent::ZERO);
         assert_eq!(t.capped_fraction(), 0.0);
-    }
-
-    #[test]
-    fn sampler_reads_instantaneous_state() {
-        let t = sample_telemetry();
-        let samples = t.sample(Seconds::new(1.0));
-        assert_eq!(samples.len(), 5);
-        assert_eq!(samples[0].sm_util.value(), 50.0);
-        assert_eq!(samples[2].power.watts(), 300.0);
-        assert!(samples[2].capped);
-        assert_eq!(samples[4].sm_util.value(), 0.0);
-    }
-
-    #[test]
-    fn sampler_mean_approaches_exact_average() {
-        let t = sample_telemetry();
-        let samples = t.sample(Seconds::new(0.001));
-        let mean_power: f64 =
-            samples.iter().map(|s| s.power.watts()).sum::<f64>() / samples.len() as f64;
-        assert!((mean_power - t.avg_power().watts()).abs() < 0.5);
     }
 }

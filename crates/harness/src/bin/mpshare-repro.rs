@@ -301,7 +301,7 @@ fn validate_obs(
                 names::CLIENTS_FAILED,
                 names::SCHED_DISPATCHES,
                 names::PLAN_CALLS,
-                names::SERVER_SPAWNS,
+                names::FAULT_DOMAIN_REWRITES,
             ] {
                 if !has("counters", counter) {
                     failures.push(format!("metrics export is missing counter {counter}"));

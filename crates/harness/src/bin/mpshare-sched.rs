@@ -103,7 +103,11 @@ fn parse_args() -> Args {
                 gpus = it
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
+                    .unwrap_or_else(|| usage());
+                if gpus == 0 {
+                    eprintln!("error: --gpus must be at least 1, got 0");
+                    std::process::exit(2);
+                }
             }
             "--trace" => trace_prefix = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--json" => json = true,

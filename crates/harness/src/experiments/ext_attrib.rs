@@ -10,7 +10,10 @@
 //! observed excess to floating-point roundoff, pinned at 1e-9 below).
 
 use crate::table::{fmt, Experiment, TextTable};
-use mpshare_gpusim::{ClientProgram, DeviceSpec, Engine, EngineConfig, RunResult, SharingMode};
+use mpshare_gpusim::{
+    ClientProgram, DeviceSpec, Engine, EngineConfig, EngineScratch, RunResult, SharingMode,
+    ValidatedPrograms,
+};
 use mpshare_obs::AttributionReport;
 use mpshare_types::{Fraction, IdAllocator, Result};
 use mpshare_workloads::{BenchmarkKind, ProblemSize, WorkflowSpec};
@@ -57,7 +60,10 @@ fn config(device: &DeviceSpec, clients: usize) -> EngineConfig {
 pub fn traced_run(device: &DeviceSpec) -> Result<(EngineConfig, Vec<ClientProgram>, RunResult)> {
     let programs = programs(device)?;
     let config = config(device, programs.len());
-    let result = Engine::new(config.clone(), programs.clone())?.run()?;
+    let roster = ValidatedPrograms::new(&config.device, programs.clone())?;
+    let result = Engine::new(config.clone(), roster, EngineScratch::default())?
+        .run()?
+        .result;
     Ok((config, programs, result))
 }
 

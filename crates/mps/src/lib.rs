@@ -1,12 +1,13 @@
 //! `mpshare-mps` — models of NVIDIA's GPU sharing mechanisms.
 //!
-//! This crate reproduces the *control plane* of the sharing mechanisms the
-//! paper evaluates (§II-B), on top of the `mpshare-gpusim` execution engine:
+//! This crate configures the sharing mechanisms the paper evaluates
+//! (§II-B) on top of the `mpshare-gpusim` execution engine. CUDA MPS
+//! semantics — logical SM partitions, the post-Volta 48-client limit and
+//! one shared failure domain — are enforced where results are produced:
+//! the engine checks the client limit and partitions, and [`runner`]'s
+//! [`FailureDomain`] widens client faults. There is no separate
+//! daemon/server model.
 //!
-//! * [`daemon`] / [`server`] — the CUDA MPS architecture: one control
-//!   daemon per node, one server per GPU, one client runtime per process,
-//!   with the post-Volta 48-client limit and per-client *active thread
-//!   percentage* (SM partition) provisioning.
 //! * [`timeslice`] — the default time-sliced scheduler used when MPS is
 //!   not running.
 //! * [`mig`] — Multi-Instance GPU: hardware partitioning into up to seven
@@ -14,14 +15,10 @@
 //! * [`runner`] — a uniform "run these programs under this sharing
 //!   mechanism" entry point used by the profiler, scheduler, and harness.
 
-pub mod daemon;
 pub mod mig;
 pub mod runner;
-pub mod server;
 pub mod timeslice;
 
-pub use daemon::{ControlDaemon, DaemonState};
 pub use mig::{MigInstance, MigLayout, MigProfile};
 pub use runner::{FailureDomain, GpuRunner, GpuSharing};
-pub use server::{ActiveThreadPercentage, ClientHandle, MpsServer};
 pub use timeslice::TimeSliceConfig;

@@ -16,8 +16,8 @@
 use crate::mig::MigLayout;
 use crate::timeslice::TimeSliceConfig;
 use mpshare_gpusim::{
-    ClientOutcome, ClientProgram, DeviceSpec, Engine, EngineConfig, EngineStats, FaultPlan,
-    RunResult, Segment, SharingMode, Telemetry,
+    ClientOutcome, ClientProgram, DeviceSpec, Engine, EngineConfig, EngineRun, EngineScratch,
+    EngineStats, FaultPlan, RunResult, Segment, SharingMode, Telemetry, ValidatedPrograms,
 };
 use mpshare_types::{Error, Fraction, Power, Result, Seconds};
 use serde::{Deserialize, Serialize};
@@ -364,7 +364,9 @@ impl GpuRunner {
             .with_event_log(self.record_events)
             .with_forced_full_resolve(self.force_full_resolve)
             .with_fault_plan(faults);
-        let (result, stats) = Engine::new(config, programs)?.run_with_stats()?;
+        let roster = ValidatedPrograms::new(&config.device, programs)?;
+        let EngineRun { result, stats, .. } =
+            Engine::new(config, roster, EngineScratch::default())?.run()?;
         record_engine_run(
             mode_label,
             clients,
@@ -425,7 +427,9 @@ impl GpuRunner {
             .with_forced_full_resolve(self.force_full_resolve)
             .with_fault_plan(instance_faults.clone());
             let clients = progs.len();
-            let (result, stats) = Engine::new(config, progs)?.run_with_stats()?;
+            let roster = ValidatedPrograms::new(&config.device, progs)?;
+            let EngineRun { result, stats, .. } =
+                Engine::new(config, roster, EngineScratch::default())?.run()?;
             record_engine_run(
                 "mig-instance",
                 clients,

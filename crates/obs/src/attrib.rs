@@ -53,8 +53,8 @@
 //! queueing, not contention — attribution rejects them.
 
 use mpshare_gpusim::{
-    ClientProgram, ContentionSolver, Engine, EngineConfig, EventKind, PreparedContender, RunResult,
-    SharingMode, SolveScratch,
+    ClientProgram, ContentionSolver, Engine, EngineConfig, EngineScratch, EventKind,
+    PreparedContender, RunResult, SharingMode, SolveScratch, ValidatedPrograms,
 };
 use mpshare_types::{Error, Fraction, Result, TaskId};
 use serde_json::Value;
@@ -361,7 +361,10 @@ pub fn attribute(
             .with_sharing_overhead(config.sharing_overhead)
             .with_event_log(true);
         solo_config.max_events = config.max_events;
-        let solo = Engine::new(solo_config, vec![program.clone()])?.run()?;
+        let roster = ValidatedPrograms::new(&solo_config.device, vec![program.clone()])?;
+        let solo = Engine::new(solo_config, roster, EngineScratch::default())?
+            .run()?
+            .result;
         let solo_client = &solo.clients[0];
         let solo_turnaround = (solo_client.finished - solo_client.started).value();
 
@@ -458,10 +461,12 @@ mod tests {
     }
 
     fn shared_run(config: &EngineConfig, programs: &[ClientProgram]) -> RunResult {
-        Engine::new(config.clone(), programs.to_vec())
+        let roster = ValidatedPrograms::new(&config.device, programs.to_vec()).unwrap();
+        Engine::new(config.clone(), roster, EngineScratch::default())
             .unwrap()
             .run()
             .unwrap()
+            .result
     }
 
     fn assert_exact(report: &AttributionReport) {

@@ -5,12 +5,12 @@
 //! decompositions. This crate is the simulator-side equivalent, threaded
 //! through every layer above the engine:
 //!
-//! * [`recorder`] — a process-wide structured span/event recorder the
-//!   planner, annealer, online scheduler, MPS daemon/server/runner,
-//!   executor and harness emit into. Zero-cost when disabled (one relaxed
+//! * [`recorder`](mod@recorder) — a process-wide structured span/event recorder the
+//!   planner, annealer, online scheduler, MPS runner, executor and
+//!   harness emit into. Zero-cost when disabled (one relaxed
 //!   atomic load; payloads behind closures), deterministic when enabled
 //!   (simulated time + monotonic sequence numbers, never wall clocks).
-//! * [`metrics`] — a counters/gauges/histograms registry exported as
+//! * [`metrics`](mod@metrics) — a counters/gauges/histograms registry exported as
 //!   Prometheus text exposition and JSON.
 //! * [`perfetto`] — Chrome-tracing / Perfetto export: the engine kernel
 //!   timeline, and a merged trace that adds planner/scheduler/daemon/

@@ -49,10 +49,7 @@ pub mod names {
     pub const PLAN_REJECTS: &str = "mpshare_plan_rejects_total";
     pub const ANNEAL_ACCEPTED: &str = "mpshare_anneal_accepted_total";
     pub const ANNEAL_REJECTED: &str = "mpshare_anneal_rejected_total";
-    // Control plane.
-    pub const SERVER_SPAWNS: &str = "mpshare_daemon_server_spawns_total";
-    pub const SERVER_REAPS: &str = "mpshare_daemon_server_reaps_total";
-    pub const SERVER_CRASHES: &str = "mpshare_server_crashes_total";
+    // Failure domains.
     pub const FAULT_DOMAIN_REWRITES: &str = "mpshare_fault_domain_rewrites_total";
     // Gauges.
     pub const GOODPUT: &str = "mpshare_goodput";
@@ -196,9 +193,6 @@ impl MetricsRegistry {
             PLAN_REJECTS,
             ANNEAL_ACCEPTED,
             ANNEAL_REJECTED,
-            SERVER_SPAWNS,
-            SERVER_REAPS,
-            SERVER_CRASHES,
             FAULT_DOMAIN_REWRITES,
         ] {
             inner.counters.entry(name.to_string()).or_insert(0);

@@ -1,7 +1,7 @@
 //! The span/event recorder: structured control-plane telemetry.
 //!
 //! Every layer above the engine (planner, anneal, online scheduler, MPS
-//! daemon/server/runner, executor, harness) emits [`ObsRecord`]s into one
+//! runner, executor, harness) emits [`ObsRecord`]s into one
 //! process-wide [`Recorder`]. The design constraints, in order:
 //!
 //! * **Zero-cost when disabled.** Recording is off by default; the only
@@ -35,8 +35,7 @@ pub enum Track {
     Planner,
     /// The online dispatcher: dispatch, retry, backoff.
     Scheduler,
-    /// The MPS control plane: server spawn/reap, crashes, fault-domain
-    /// rewrites.
+    /// The MPS runner: one span per engine run, fault-domain rewrites.
     Daemon,
     /// Plan execution legs and harness experiment phases.
     Executor,

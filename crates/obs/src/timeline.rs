@@ -1,7 +1,7 @@
 //! Deterministic timeline metrics: simulated-time series, exact
 //! quantiles, and utilization CDFs.
 //!
-//! The counters and fixed-bucket histograms in [`crate::metrics`] answer
+//! The counters and fixed-bucket histograms in [`crate::metrics`](mod@crate::metrics) answer
 //! "how much, in total"; this layer answers the time-resolved questions
 //! the paper's interference argument (§IV) is built on — what did
 //! utilization look like *over time*, what is the exact p99/p999
@@ -647,8 +647,8 @@ impl TimelineStore {
         })
     }
 
-    /// Names silently refused because the store already held
-    /// [`STORE_NAME_CAPACITY`] distinct series or tracks.
+    /// Names silently refused because the store already held its capacity
+    /// of distinct series or tracks (`STORE_NAME_CAPACITY`).
     pub fn dropped_names(&self) -> u64 {
         self.with_inner(|inner| inner.dropped_names)
     }

@@ -13,7 +13,7 @@
 //! # Serial escape hatch
 //!
 //! Set the env var `MPSHARE_SERIAL=1`, pass `--serial` to the harness
-//! binaries (they call [`set_serial`]), or call [`set_serial(true)`] in tests
+//! binaries (they call [`set_serial`]), or call [`set_serial(true)`](set_serial) in tests
 //! to force every `par_*` helper onto the calling thread. [`is_serial`]
 //! reports the effective mode.
 

@@ -8,7 +8,7 @@
 //! of times per process. This module puts one sharded cache behind all of
 //! them so each distinct tuple is simulated exactly once per process.
 //!
-//! Sharding bounds contention: the key hash picks one of [`SHARD_COUNT`]
+//! Sharding bounds contention: the key hash picks one of `SHARD_COUNT`
 //! `RwLock`-protected maps, and a miss computes the profile while holding
 //! only that shard's write lock (guaranteeing exactly-once without
 //! serializing unrelated keys). Worker threads from `mpshare-par` fan-outs

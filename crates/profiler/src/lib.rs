@@ -4,7 +4,8 @@
 //! of individual workflow tasks with NVIDIA Nsight Systems and
 //! `nvidia-smi`: GPU compute, memory, and memory-bandwidth utilization,
 //! average power, and GPU idle time. This crate reproduces that workflow
-//! against the simulator:
+//! against the simulator, reading the engine's exact piecewise telemetry
+//! integrals rather than emulating `nvidia-smi`'s sampling:
 //!
 //! * [`collector`] runs one task solo on a GPU and integrates its
 //!   telemetry into a [`TaskProfile`] — one row of the paper's Table II,
@@ -17,8 +18,6 @@
 //! * [`scaling`] infers profiles at unmeasured problem sizes from two
 //!   measured ones ("scaling is well-understood for a vast majority of HPC
 //!   codes");
-//! * [`smi`] emulates the `nvidia-smi dmon` sampling path and
-//!   cross-validates it against the exact piecewise integrals;
 //! * [`trace`] exports run timelines as Chrome-tracing JSON — the
 //!   Nsight-Systems-style visualization of a co-scheduled run.
 
@@ -26,7 +25,6 @@ pub mod cache;
 pub mod collector;
 pub mod profile;
 pub mod scaling;
-pub mod smi;
 pub mod store;
 pub mod trace;
 
@@ -34,6 +32,5 @@ pub use cache::ProfileCache;
 pub use collector::{profile_program, profile_task};
 pub use profile::{OccupancyProfile, TaskProfile};
 pub use scaling::infer_profile;
-pub use smi::SmiLog;
 pub use store::{ProfileKey, ProfileStore};
 pub use trace::chrome_trace;

@@ -127,13 +127,13 @@ fn assert_steady_state_alloc_free(config: EngineConfig, programs: Vec<ClientProg
     // Warm-up run grows every scratch buffer to this roster's size and
     // records the telemetry segment count for the recycled run's hint.
     let roster = ValidatedPrograms::new(&config.device, programs).unwrap();
-    let (reference, _, roster, scratch) =
-        Engine::new_prevalidated(config.clone(), roster, EngineScratch::new())
-            .unwrap()
-            .run_recycling()
-            .unwrap();
+    let warm_up = Engine::new(config.clone(), roster, EngineScratch::default())
+        .unwrap()
+        .run()
+        .unwrap();
+    let reference = warm_up.result;
 
-    let mut engine = Engine::new_prevalidated(config, roster, scratch).unwrap();
+    let mut engine = Engine::new(config, warm_up.roster, warm_up.scratch).unwrap();
     let mut per_step: Vec<u64> = Vec::with_capacity(1 << 16);
     loop {
         let (more, allocs) = measured(|| engine.step().unwrap());
@@ -143,7 +143,7 @@ fn assert_steady_state_alloc_free(config: EngineConfig, programs: Vec<ClientProg
             break;
         }
     }
-    let (result, ..) = engine.run_recycling().unwrap();
+    let result = engine.run().unwrap().result;
     assert_eq!(
         serde_json::to_string(&result).unwrap(),
         serde_json::to_string(&reference).unwrap(),

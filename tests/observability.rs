@@ -5,7 +5,9 @@
 use mpshare::core::{
     ArrivingWorkflow, ExecutorConfig, MetricPriority, OnlineScheduler, Planner, PlannerStrategy,
 };
-use mpshare::gpusim::{DeviceSpec, Engine, EngineConfig, SharingMode};
+use mpshare::gpusim::{
+    DeviceSpec, Engine, EngineConfig, EngineScratch, SharingMode, ValidatedPrograms,
+};
 use mpshare::obs;
 use mpshare::profiler::ProfileStore;
 use mpshare::types::{IdAllocator, Seconds};
@@ -196,10 +198,12 @@ fn attribution_components_close_the_slowdown_identity() {
         .map(|w| w.to_client_program(&d, &mut ids).unwrap())
         .collect();
     let config = EngineConfig::new(d, SharingMode::mps_uniform(2)).with_event_log(true);
-    let result = Engine::new(config.clone(), programs.clone())
+    let roster = ValidatedPrograms::new(&config.device, programs.clone()).unwrap();
+    let result = Engine::new(config.clone(), roster, EngineScratch::default())
         .unwrap()
         .run()
-        .unwrap();
+        .unwrap()
+        .result;
     let report = obs::attribute(&config, &programs, &result).unwrap();
     assert_eq!(report.clients.len(), 2);
     for c in &report.clients {

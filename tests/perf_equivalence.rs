@@ -8,7 +8,8 @@
 
 use mpshare::core::{MetricPriority, Planner, PlannerStrategy, WorkflowProfile};
 use mpshare::gpusim::{
-    ClientProgram, DeviceSpec, Engine, EngineConfig, EngineStats, FaultPlan, RunResult, SharingMode,
+    ClientProgram, DeviceSpec, Engine, EngineConfig, EngineRun, EngineScratch, EngineStats,
+    FaultPlan, RunResult, SharingMode, ValidatedPrograms,
 };
 use mpshare::types::{Energy, MemBytes, Percent, Power, Seconds};
 use mpshare::workloads::SyntheticSpec;
@@ -65,6 +66,15 @@ fn kernel_starts(programs: &[ClientProgram]) -> u64 {
         .sum()
 }
 
+/// Validates `programs` and runs them on fresh engine buffers.
+fn run_engine(config: EngineConfig, programs: Vec<ClientProgram>) -> EngineRun {
+    let roster = ValidatedPrograms::new(&config.device, programs).unwrap();
+    Engine::new(config, roster, EngineScratch::default())
+        .unwrap()
+        .run()
+        .unwrap()
+}
+
 /// Runs the programs under the given sharing mode twice — time-slice solve
 /// cache allowed vs. forced full re-solve — and returns both outcomes.
 fn run_both(
@@ -76,10 +86,8 @@ fn run_both(
         let config = EngineConfig::new(device(), mode.clone())
             .with_fault_plan(faults.clone())
             .with_forced_full_resolve(force);
-        Engine::new(config, programs_for(specs))
-            .unwrap()
-            .run_with_stats()
-            .unwrap()
+        let run = run_engine(config, programs_for(specs));
+        (run.result, run.stats)
     };
     (run(false), run(true))
 }
@@ -305,10 +313,8 @@ fn timesliced_work_counters_are_pinned() {
     let run = |force: bool| {
         let config = EngineConfig::new(device(), SharingMode::timesliced_default())
             .with_forced_full_resolve(force);
-        Engine::new(config, programs.clone())
-            .unwrap()
-            .run_with_stats()
-            .unwrap()
+        let run = run_engine(config, programs.clone());
+        (run.result, run.stats)
     };
     let (cached, stats) = run(false);
     let (forced, forced_stats) = run(true);
@@ -356,10 +362,7 @@ fn mps_work_counters_are_pinned() {
         })
         .collect();
     let config = EngineConfig::new(device(), SharingMode::mps_uniform(programs.len()));
-    let (_, stats) = Engine::new(config, programs)
-        .unwrap()
-        .run_with_stats()
-        .unwrap();
+    let stats = run_engine(config, programs).stats;
     assert_eq!(stats.events, EVENTS);
     assert_eq!(stats.rate_solves, RATE_SOLVES);
 }
