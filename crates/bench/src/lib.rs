@@ -1,14 +1,15 @@
 //! Shared helpers for the criterion benchmark suite.
 //!
-//! Every paper table and figure has a bench target that regenerates it
-//! (and measures how long the regeneration takes); `ablations` additionally
-//! quantifies the design choices called out in DESIGN.md, and
-//! `engine_performance` measures the raw simulator.
+//! `ablations` quantifies the design choices called out in DESIGN.md, and
+//! `engine_performance` measures the simulator and plan-search hot paths
+//! (the `bench-gate` scenarios). The time to regenerate each paper table
+//! and figure is reported per experiment by the end-to-end benchmark's
+//! traced `repro_all` workload (`harness.<experiment>_ms`).
 
 use criterion::Criterion;
 
-/// Criterion configuration shared by experiment-regeneration benches:
-/// these run whole simulations per iteration, so small sample counts keep
+/// Criterion configuration for the ablation benches: these run whole
+/// simulations per iteration, so small sample counts keep
 /// `cargo bench` turnaround sane.
 pub fn experiment_criterion() -> Criterion {
     Criterion::default()

@@ -50,12 +50,6 @@ impl ExecutorConfig {
         self
     }
 
-    /// Sets the calibration (profiling) device for heterogeneous nodes.
-    pub fn with_calibration_device(mut self, device: DeviceSpec) -> Self {
-        self.calibration_device = Some(device);
-        self
-    }
-
     /// The device programs are built against.
     pub fn build_device(&self) -> &DeviceSpec {
         self.calibration_device.as_ref().unwrap_or(&self.device)

@@ -51,10 +51,7 @@ pub use executor::{EvaluationReport, Executor, ExecutorConfig, RunOutcome, Workf
 pub use interference::{predict, InterferenceKind, InterferenceReport};
 pub use memo::{EstimateMemo, GroupKey, MemoStats};
 pub use metrics::{Metrics, ProductMetric};
-pub use node::{
-    distribute_plan, distribute_plan_heterogeneous, relative_throughput, HeteroNodeExecutor,
-    NodeExecutor, NodeOutcome, NodePlan,
-};
+pub use node::{distribute_plan, relative_throughput, NodeExecutor, NodeOutcome, NodePlan};
 pub use online::{
     ArrivingWorkflow, DispatchRecord, OnlineFaultModel, OnlineOutcome, OnlineScheduler,
     RecoveryPolicy,

@@ -2,24 +2,25 @@
 //!
 //! The paper's setting is a node with several GPUs ("co-scheduling
 //! workflows on the same *set* of GPUs"; its evaluation machine carried
-//! two A100Xs). This module lifts the single-GPU planner to a node:
-//! collocation groups are distributed across GPUs with
-//! longest-processing-time-first (LPT) list scheduling on their estimated
-//! makespans, each GPU executes its groups back to back, and the node
-//! makespan is the maximum over GPUs.
+//! two A100Xs). This module lifts the single-GPU planner to a node of any
+//! GPU set, identical or mixed: collocation groups are distributed across
+//! GPUs with longest-processing-time-first (LPT) list scheduling on their
+//! estimated makespans, scaled by each device's speed relative to the
+//! profiling device, each GPU executes its groups back to back, and the
+//! node makespan is the maximum over GPUs.
 //!
 //! Energy accounting is board-accurate: a GPU that finishes early keeps
-//! drawing idle power until the node completes (nodes are powered as a
-//! unit), so consolidating work onto fewer GPUs *and* finishing the node
+//! drawing its idle power until the node completes (nodes are powered as
+//! a unit), so consolidating work onto fewer GPUs *and* finishing the node
 //! sooner both show up in the energy metric.
 
 use crate::estimate::estimate_group;
 use crate::executor::{Executor, ExecutorConfig, RunOutcome};
 use crate::metrics::Metrics;
-use crate::planner::{Planner, SchedulePlan};
+use crate::planner::{PlanGroup, Planner, SchedulePlan};
 use crate::wprofile::WorkflowProfile;
 use mpshare_gpusim::DeviceSpec;
-use mpshare_types::{Energy, Error, Power, Result, Seconds};
+use mpshare_types::{Energy, Error, MemBytes, Result, Seconds};
 use mpshare_workloads::WorkflowSpec;
 use serde::{Deserialize, Serialize};
 
@@ -35,8 +36,16 @@ impl NodePlan {
         self.per_gpu.iter().map(|p| p.workflow_count()).sum()
     }
 
-    /// Validates each GPU's plan and global exactly-once coverage.
-    pub fn validate(&self, device: &DeviceSpec, profiles: &[WorkflowProfile]) -> Result<()> {
+    /// Validates global exactly-once coverage and each GPU's plan against
+    /// its own device (`devices[g]` runs `per_gpu[g]`).
+    pub fn validate(&self, devices: &[DeviceSpec], profiles: &[WorkflowProfile]) -> Result<()> {
+        if self.per_gpu.len() != devices.len() {
+            return Err(Error::PlanViolation(format!(
+                "plan has {} GPU schedules for {} devices",
+                self.per_gpu.len(),
+                devices.len()
+            )));
+        }
         let mut seen = vec![false; profiles.len()];
         for plan in &self.per_gpu {
             for g in &plan.groups {
@@ -58,26 +67,35 @@ impl NodePlan {
                 "workflow {missing} not scheduled on any GPU"
             )));
         }
-        // Per-GPU structural checks run against a filtered profile view:
-        // reuse the single-GPU validation by checking group-level
-        // constraints directly.
-        for plan in &self.per_gpu {
+        for (gpu, (plan, device)) in self.per_gpu.iter().zip(devices).enumerate() {
             for g in &plan.groups {
-                if g.workflow_indices.len() > device.max_mps_clients {
-                    return Err(Error::PlanViolation("group exceeds client limit".into()));
-                }
-                let mem: mpshare_types::MemBytes = g
-                    .workflow_indices
-                    .iter()
-                    .map(|&i| profiles[i].max_memory)
-                    .sum();
-                if mem > device.memory_capacity {
-                    return Err(Error::PlanViolation("group exceeds device memory".into()));
+                if let Some(limit) = misfit(device, g, profiles) {
+                    return Err(Error::PlanViolation(format!(
+                        "gpu {gpu}: group exceeds {limit}"
+                    )));
                 }
             }
         }
         Ok(())
     }
+}
+
+/// The hard limit of `device` that `group` breaks — its MPS client limit
+/// or its memory — if any. Every index in `group` must be in `profiles`.
+fn misfit(
+    device: &DeviceSpec,
+    group: &PlanGroup,
+    profiles: &[WorkflowProfile],
+) -> Option<&'static str> {
+    if group.workflow_indices.len() > device.max_mps_clients {
+        return Some("client limit");
+    }
+    let mem: MemBytes = group
+        .workflow_indices
+        .iter()
+        .map(|&i| profiles[i].max_memory)
+        .sum();
+    (mem > device.memory_capacity).then_some("device memory")
 }
 
 /// Validates `profiles` and estimates every group of `plan` on `device`,
@@ -116,77 +134,64 @@ fn lpt_order(
     Ok(estimated)
 }
 
-/// Distributes the groups of a single-GPU plan across `n_gpus` with LPT
-/// list scheduling on estimated group makespans. Group execution order
-/// within a GPU follows the LPT assignment order.
-pub fn distribute_plan(
-    device: &DeviceSpec,
-    plan: &SchedulePlan,
-    profiles: &[WorkflowProfile],
-    n_gpus: usize,
-    sharing_overhead: f64,
-) -> Result<NodePlan> {
-    if n_gpus == 0 {
-        return Err(Error::InvalidConfig("node needs at least one GPU".into()));
-    }
-    // LPT: longest groups first, each to the currently least-loaded GPU.
-    let estimated = lpt_order(device, plan, profiles, sharing_overhead)?;
-    let mut loads = vec![0.0f64; n_gpus];
-    let mut per_gpu: Vec<SchedulePlan> = vec![SchedulePlan { groups: Vec::new() }; n_gpus];
-    for (makespan, idx) in estimated {
-        let gpu = loads
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("n_gpus > 0");
-        loads[gpu] += makespan;
-        per_gpu[gpu].groups.push(plan.groups[idx].clone());
-    }
-    // Drop empty GPUs' plans? Keep them: the node owns all GPUs and their
-    // idle power either way.
-    Ok(NodePlan { per_gpu })
-}
-
 /// Relative throughput of `device` for work calibrated on `reference`:
 /// the binding ratio of SM count and memory bandwidth. Used as the speed
-/// factor in heterogeneous load balancing.
+/// factor in node load balancing (exactly 1 for the reference itself).
 pub fn relative_throughput(device: &DeviceSpec, reference: &DeviceSpec) -> f64 {
     let sm = device.num_sms as f64 / reference.num_sms as f64;
     let bw = device.memory_bandwidth_bytes_per_sec / reference.memory_bandwidth_bytes_per_sec;
     sm.min(bw)
 }
 
-/// Distributes a plan's groups across a *heterogeneous* set of GPUs:
-/// LPT on estimated makespans divided by each device's relative
-/// throughput (faster devices absorb more work).
-pub fn distribute_plan_heterogeneous(
+/// Each device's speed factor against `reference`, or an error for a node
+/// without GPUs.
+fn node_speeds(reference: &DeviceSpec, devices: &[DeviceSpec]) -> Result<Vec<f64>> {
+    if devices.is_empty() {
+        return Err(Error::InvalidConfig("node needs at least one GPU".into()));
+    }
+    Ok(devices
+        .iter()
+        .map(|d| relative_throughput(d, reference).max(1e-6))
+        .collect())
+}
+
+/// Distributes the groups of a single-GPU plan (made on `reference`, the
+/// profiling device) across the node's `devices` with LPT list scheduling:
+/// longest estimated group first, each to the GPU that would finish it
+/// earliest, with makespans divided by each device's relative throughput
+/// (faster devices absorb more work). A group only goes to a device whose
+/// memory and MPS client limit can hold it; a group no device can hold is
+/// an [`Error::InvalidConfig`] naming it. Group execution order within a
+/// GPU follows the LPT assignment order, and a GPU may get no groups.
+pub fn distribute_plan(
     reference: &DeviceSpec,
     devices: &[DeviceSpec],
     plan: &SchedulePlan,
     profiles: &[WorkflowProfile],
     sharing_overhead: f64,
 ) -> Result<NodePlan> {
-    if devices.is_empty() {
-        return Err(Error::InvalidConfig("node needs at least one GPU".into()));
-    }
-    let speeds: Vec<f64> = devices
-        .iter()
-        .map(|d| relative_throughput(d, reference).max(1e-6))
-        .collect();
+    let speeds = node_speeds(reference, devices)?;
     let estimated = lpt_order(reference, plan, profiles, sharing_overhead)?;
     let mut loads = vec![0.0f64; devices.len()];
     let mut per_gpu: Vec<SchedulePlan> = vec![SchedulePlan { groups: Vec::new() }; devices.len()];
     for (makespan, idx) in estimated {
+        let group = &plan.groups[idx];
         let gpu = (0..devices.len())
+            .filter(|&g| misfit(&devices[g], group, profiles).is_none())
             .min_by(|&a, &b| {
                 let la = loads[a] + makespan / speeds[a];
                 let lb = loads[b] + makespan / speeds[b];
                 la.total_cmp(&lb)
             })
-            .expect("non-empty devices");
+            .ok_or_else(|| {
+                Error::InvalidConfig(format!(
+                    "group {idx} ({} workflows) fits no device of the node: each exceeds its \
+                     memory or client limit",
+                    group.workflow_indices.len()
+                ))
+            })?;
         loads[gpu] += makespan / speeds[gpu];
-        per_gpu[gpu].groups.push(plan.groups[idx].clone());
+        per_gpu[gpu].groups.push(group.clone());
     }
     Ok(NodePlan { per_gpu })
 }
@@ -203,74 +208,88 @@ pub struct NodeOutcome {
     pub capped_fraction: f64,
 }
 
-/// Executes node plans and baselines.
+/// Executes node plans and baselines on a set of GPUs: one executor per
+/// device, all calibrated on the profiling device.
 #[derive(Debug, Clone)]
 pub struct NodeExecutor {
-    executor: Executor,
-    device: DeviceSpec,
-    n_gpus: usize,
+    executors: Vec<Executor>,
+    /// Each device's [`relative_throughput`] against the profiling device.
+    speeds: Vec<f64>,
 }
 
 impl NodeExecutor {
-    pub fn new(config: ExecutorConfig, n_gpus: usize) -> Result<Self> {
-        if n_gpus == 0 {
-            return Err(Error::InvalidConfig("node needs at least one GPU".into()));
-        }
-        let device = config.device.clone();
-        Ok(NodeExecutor {
-            executor: Executor::new(config),
-            device,
-            n_gpus,
-        })
+    /// `base` supplies overheads and the calibration device (its `device`
+    /// field); `devices` are the node's actual GPUs.
+    pub fn new(base: ExecutorConfig, devices: Vec<DeviceSpec>) -> Result<Self> {
+        let speeds = node_speeds(&base.device, &devices)?;
+        let executors = devices
+            .into_iter()
+            .map(|device| {
+                Executor::new(ExecutorConfig {
+                    device,
+                    calibration_device: Some(base.device.clone()),
+                    ..base.clone()
+                })
+            })
+            .collect();
+        Ok(NodeExecutor { executors, speeds })
     }
 
-    pub fn n_gpus(&self) -> usize {
-        self.n_gpus
-    }
-
-    /// Merges per-GPU outcomes into a node outcome, charging idle power to
-    /// GPUs that finished before the node makespan (and to entirely idle
-    /// GPUs).
-    fn merge(&self, outcomes: &[RunOutcome]) -> NodeOutcome {
+    /// Runs each GPU's work (`work[g]` on GPU `g`, skipping GPUs with none)
+    /// in parallel — simulated GPUs are independent — and merges the
+    /// per-GPU outcomes into a node outcome. A GPU that finishes before the
+    /// node makespan, or has no work at all, draws its idle power until the
+    /// node completes.
+    fn run_node<W: Sync>(
+        &self,
+        work: &[W],
+        is_empty: impl Fn(&W) -> bool,
+        run: impl Fn(&Executor, &W) -> Result<RunOutcome> + Sync,
+    ) -> Result<NodeOutcome> {
+        let busy: Vec<usize> = (0..work.len()).filter(|&g| !is_empty(&work[g])).collect();
+        let outcomes: Vec<RunOutcome> =
+            mpshare_par::try_par_map(&busy, |&g| run(&self.executors[g], &work[g]))?;
         let makespan = outcomes
             .iter()
             .map(|o| o.makespan)
             .fold(Seconds::ZERO, Seconds::max);
-        let idle: Power = self.device.idle_power;
+        let idle = |g: usize| self.executors[g].device().idle_power;
         let mut energy = Energy::ZERO;
         let mut capped_weighted = 0.0;
-        for o in outcomes {
+        for (&g, o) in busy.iter().zip(&outcomes) {
             energy += o.energy;
-            energy += idle * makespan.saturating_sub(o.makespan);
+            energy += idle(g) * makespan.saturating_sub(o.makespan);
             capped_weighted += o.capped_fraction * o.makespan.value();
         }
-        // GPUs with no work at all idle for the whole node run.
-        let unused = self.n_gpus.saturating_sub(outcomes.len());
-        energy += idle * (makespan * unused as f64);
-        NodeOutcome {
+        for g in (0..self.executors.len()).filter(|g| !busy.contains(g)) {
+            energy += idle(g) * makespan;
+        }
+        Ok(NodeOutcome {
             makespan,
             energy,
             tasks: outcomes.iter().map(|o| o.tasks).sum(),
             capped_fraction: if makespan.value() > 0.0 {
-                capped_weighted / (makespan.value() * self.n_gpus as f64)
+                capped_weighted / (makespan.value() * self.executors.len() as f64)
             } else {
                 0.0
             },
-        }
+        })
     }
 
-    /// Runs a node plan: each GPU's group sequence executes independently
-    /// (in parallel here, since simulated GPUs are independent).
+    /// Runs a node plan: one per-GPU plan per device, by position.
     pub fn run_plan(&self, workflows: &[WorkflowSpec], plan: &NodePlan) -> Result<NodeOutcome> {
-        let non_empty: Vec<&SchedulePlan> = plan
-            .per_gpu
-            .iter()
-            .filter(|p| !p.groups.is_empty())
-            .collect();
-        let outcomes: Vec<RunOutcome> = mpshare_par::try_par_map(&non_empty, |gpu_plan| {
-            self.executor.run_plan(workflows, gpu_plan)
-        })?;
-        Ok(self.merge(&outcomes))
+        if plan.per_gpu.len() != self.executors.len() {
+            return Err(Error::InvalidConfig(format!(
+                "plan has {} GPU schedules for {} devices",
+                plan.per_gpu.len(),
+                self.executors.len()
+            )));
+        }
+        self.run_node(
+            &plan.per_gpu,
+            |p| p.groups.is_empty(),
+            |executor, gpu_plan| executor.run_plan(workflows, gpu_plan),
+        )
     }
 
     /// Node-level sequential baseline: workflows are handed out FIFO to
@@ -287,26 +306,24 @@ impl NodeExecutor {
             ));
         }
         Planner::validate_profiles(profiles)?;
-        // FIFO list scheduling onto the first-free GPU, by solo durations.
-        let mut loads = vec![0.0f64; self.n_gpus];
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); self.n_gpus];
+        // FIFO list scheduling onto the first-free GPU, by solo durations
+        // scaled to each device's speed.
+        let mut loads = vec![0.0f64; self.executors.len()];
+        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); self.executors.len()];
         for (i, p) in profiles.iter().enumerate() {
             let gpu = loads
                 .iter()
                 .enumerate()
                 .min_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(g, _)| g)
-                .expect("n_gpus > 0");
-            loads[gpu] += p.duration.value();
+                .expect("a node has at least one GPU");
+            loads[gpu] += p.duration.value() / self.speeds[gpu];
             assignment[gpu].push(i);
         }
-        let non_empty: Vec<&Vec<usize>> =
-            assignment.iter().filter(|idxs| !idxs.is_empty()).collect();
-        let outcomes: Vec<RunOutcome> = mpshare_par::try_par_map(&non_empty, |idxs| {
+        self.run_node(&assignment, Vec::is_empty, |executor, idxs| {
             let subset: Vec<WorkflowSpec> = idxs.iter().map(|&i| workflows[i].clone()).collect();
-            self.executor.run_sequential(&subset)
-        })?;
-        Ok(self.merge(&outcomes))
+            executor.run_sequential(&subset)
+        })
     }
 
     /// Relative metrics of a node plan against the node-sequential
@@ -330,87 +347,6 @@ impl NodeExecutor {
     }
 }
 
-/// Executes node plans on a *heterogeneous* GPU set: one executor per
-/// device, all calibrated against the profiling device.
-#[derive(Debug, Clone)]
-pub struct HeteroNodeExecutor {
-    executors: Vec<Executor>,
-    devices: Vec<DeviceSpec>,
-}
-
-impl HeteroNodeExecutor {
-    /// `base` supplies overheads and the calibration device (its `device`
-    /// field); `devices` are the node's actual GPUs.
-    pub fn new(base: ExecutorConfig, devices: Vec<DeviceSpec>) -> Result<Self> {
-        if devices.is_empty() {
-            return Err(Error::InvalidConfig("node needs at least one GPU".into()));
-        }
-        let calibration = base.device.clone();
-        let executors = devices
-            .iter()
-            .map(|d| {
-                let mut config = base.clone();
-                config.device = d.clone();
-                config.calibration_device = Some(calibration.clone());
-                Executor::new(config)
-            })
-            .collect();
-        Ok(HeteroNodeExecutor { executors, devices })
-    }
-
-    /// Runs a node plan (one per-GPU plan per device, by position).
-    pub fn run_plan(&self, workflows: &[WorkflowSpec], plan: &NodePlan) -> Result<NodeOutcome> {
-        if plan.per_gpu.len() != self.devices.len() {
-            return Err(Error::InvalidConfig(format!(
-                "plan has {} GPU schedules for {} devices",
-                plan.per_gpu.len(),
-                self.devices.len()
-            )));
-        }
-        let indexed: Vec<(usize, &SchedulePlan)> = plan
-            .per_gpu
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.groups.is_empty())
-            .collect();
-        let outcomes: Vec<(usize, RunOutcome)> =
-            mpshare_par::try_par_map(&indexed, |&(gpu, gpu_plan)| {
-                Ok((gpu, self.executors[gpu].run_plan(workflows, gpu_plan)?))
-            })?;
-
-        let makespan = outcomes
-            .iter()
-            .map(|(_, o)| o.makespan)
-            .fold(Seconds::ZERO, Seconds::max);
-        let mut energy = Energy::ZERO;
-        let mut capped_weighted = 0.0;
-        let mut busy = vec![false; self.devices.len()];
-        let mut tasks = 0usize;
-        for (gpu, o) in &outcomes {
-            busy[*gpu] = true;
-            energy += o.energy;
-            energy += self.devices[*gpu].idle_power * makespan.saturating_sub(o.makespan);
-            capped_weighted += o.capped_fraction * o.makespan.value();
-            tasks += o.tasks;
-        }
-        for (gpu, was_busy) in busy.iter().enumerate() {
-            if !was_busy {
-                energy += self.devices[gpu].idle_power * makespan;
-            }
-        }
-        Ok(NodeOutcome {
-            makespan,
-            energy,
-            tasks,
-            capped_fraction: if makespan.value() > 0.0 {
-                capped_weighted / (makespan.value() * self.devices.len() as f64)
-            } else {
-                0.0
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,10 +354,16 @@ mod tests {
     use crate::policy::MetricPriority;
     use crate::wprofile::workflow_profile;
     use mpshare_profiler::ProfileStore;
+    use mpshare_types::{Fraction, Percent, Power};
     use mpshare_workloads::{BenchmarkKind, ProblemSize};
 
     fn device() -> DeviceSpec {
         DeviceSpec::a100x()
+    }
+
+    /// A node of `n` identical A100Xs.
+    fn gpus(n: usize) -> Vec<DeviceSpec> {
+        vec![device(); n]
     }
 
     fn setup(queue: &[WorkflowSpec]) -> Vec<WorkflowProfile> {
@@ -450,8 +392,8 @@ mod tests {
         let plan = Planner::new(d.clone(), MetricPriority::Throughput)
             .plan(&profiles, PlannerStrategy::Greedy)
             .unwrap();
-        let node = distribute_plan(&d, &plan, &profiles, 2, 0.0).unwrap();
-        node.validate(&d, &profiles).unwrap();
+        let node = distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0).unwrap();
+        node.validate(&gpus(2), &profiles).unwrap();
         assert_eq!(node.per_gpu.len(), 2);
         assert_eq!(node.workflow_count(), q.len());
         // Both GPUs got something (the plan has ≥2 groups).
@@ -468,12 +410,12 @@ mod tests {
             .unwrap();
         let config = ExecutorConfig::new(d.clone());
 
-        let one = NodeExecutor::new(config.clone(), 1).unwrap();
-        let node1 = distribute_plan(&d, &plan, &profiles, 1, 0.0).unwrap();
+        let one = NodeExecutor::new(config.clone(), gpus(1)).unwrap();
+        let node1 = distribute_plan(&d, &gpus(1), &plan, &profiles, 0.0).unwrap();
         let r1 = one.run_plan(&q, &node1).unwrap();
 
-        let two = NodeExecutor::new(config, 2).unwrap();
-        let node2 = distribute_plan(&d, &plan, &profiles, 2, 0.0).unwrap();
+        let two = NodeExecutor::new(config, gpus(2)).unwrap();
+        let node2 = distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0).unwrap();
         let r2 = two.run_plan(&q, &node2).unwrap();
 
         assert_eq!(r1.tasks, r2.tasks);
@@ -498,15 +440,14 @@ mod tests {
             .plan(&profiles, PlannerStrategy::Greedy)
             .unwrap();
         let config = ExecutorConfig::new(d.clone());
-
-        let r1 = NodeExecutor::new(config.clone(), 1)
-            .unwrap()
-            .run_plan(&q, &distribute_plan(&d, &plan, &profiles, 1, 0.0).unwrap())
-            .unwrap();
-        let r4 = NodeExecutor::new(config, 4)
-            .unwrap()
-            .run_plan(&q, &distribute_plan(&d, &plan, &profiles, 4, 0.0).unwrap())
-            .unwrap();
+        let run = |n: usize| {
+            let node = distribute_plan(&d, &gpus(n), &plan, &profiles, 0.0).unwrap();
+            NodeExecutor::new(config.clone(), gpus(n))
+                .unwrap()
+                .run_plan(&q, &node)
+                .unwrap()
+        };
+        let (r1, r4) = (run(1), run(4));
         assert_eq!(r1.makespan, r4.makespan);
         // Three extra idle GPUs burn 3 × idle × makespan more.
         let extra = 3.0 * 75.0 * r1.makespan.value();
@@ -521,8 +462,8 @@ mod tests {
         let plan = Planner::new(d.clone(), MetricPriority::balanced_product())
             .plan(&profiles, PlannerStrategy::Auto)
             .unwrap();
-        let node = distribute_plan(&d, &plan, &profiles, 2, 0.0).unwrap();
-        let exec = NodeExecutor::new(ExecutorConfig::new(d), 2).unwrap();
+        let node = distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0).unwrap();
+        let exec = NodeExecutor::new(ExecutorConfig::new(d), gpus(2)).unwrap();
         let metrics = exec.evaluate(&q, &profiles, &node).unwrap();
         assert!(
             metrics.throughput_gain > 1.0,
@@ -539,18 +480,21 @@ mod tests {
         let plan = Planner::new(d.clone(), MetricPriority::Throughput)
             .plan(&profiles, PlannerStrategy::Greedy)
             .unwrap();
-        let node = distribute_plan(&d, &plan, &profiles, 2, 0.0).unwrap();
+        let node = distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0).unwrap();
 
         // Duplicate a group onto the other GPU.
         let mut bad = node.clone();
         let extra = bad.per_gpu[0].groups[0].clone();
         bad.per_gpu[1].groups.push(extra);
-        assert!(bad.validate(&d, &profiles).is_err());
+        assert!(bad.validate(&gpus(2), &profiles).is_err());
 
         // Drop a group entirely.
         let mut bad = node.clone();
         bad.per_gpu[0].groups.clear();
-        assert!(bad.validate(&d, &profiles).is_err());
+        assert!(bad.validate(&gpus(2), &profiles).is_err());
+
+        // One device too few for the per-GPU schedules.
+        assert!(node.validate(&gpus(1), &profiles).is_err());
     }
 
     #[test]
@@ -563,14 +507,13 @@ mod tests {
             .plan(&profiles, PlannerStrategy::Greedy)
             .unwrap();
         // The A100X is the faster device for A100X-calibrated work.
-        assert!(super::relative_throughput(&amd, &a100) < 1.0);
+        assert!(relative_throughput(&amd, &a100) < 1.0);
         let devices = vec![a100.clone(), amd];
-        let node =
-            super::distribute_plan_heterogeneous(&a100, &devices, &plan, &profiles, 0.0).unwrap();
-        node.validate(&a100, &profiles).unwrap();
+        let node = distribute_plan(&a100, &devices, &plan, &profiles, 0.0).unwrap();
+        node.validate(&devices, &profiles).unwrap();
         assert_eq!(node.per_gpu.len(), 2);
 
-        let exec = super::HeteroNodeExecutor::new(ExecutorConfig::new(a100), devices).unwrap();
+        let exec = NodeExecutor::new(ExecutorConfig::new(a100), devices).unwrap();
         let outcome = exec.run_plan(&q, &node).unwrap();
         assert_eq!(
             outcome.tasks,
@@ -580,34 +523,32 @@ mod tests {
     }
 
     #[test]
-    fn hetero_rejects_mismatched_plans_and_empty_nodes() {
-        let a100 = device();
-        assert!(super::HeteroNodeExecutor::new(ExecutorConfig::new(a100.clone()), vec![]).is_err());
-        let exec = super::HeteroNodeExecutor::new(
-            ExecutorConfig::new(a100.clone()),
-            vec![a100.clone(), a100],
-        )
-        .unwrap();
+    fn empty_nodes_and_mismatched_plans_are_rejected() {
+        let d = device();
+        assert!(NodeExecutor::new(ExecutorConfig::new(d.clone()), vec![]).is_err());
+        let empty = SchedulePlan { groups: vec![] };
+        assert!(distribute_plan(&d, &[], &empty, &[], 0.0).is_err());
+        let exec = NodeExecutor::new(ExecutorConfig::new(d), gpus(2)).unwrap();
         let plan = NodePlan {
-            per_gpu: vec![SchedulePlan { groups: vec![] }],
+            per_gpu: vec![empty],
         };
         assert!(exec.run_plan(&[], &plan).is_err());
     }
 
-    fn synthetic_profile(duration: f64) -> WorkflowProfile {
+    fn synthetic_profile(duration: f64, mem_gib: u64) -> WorkflowProfile {
         WorkflowProfile {
             label: "synthetic".into(),
             task_count: 1,
-            avg_sm_util: mpshare_types::Percent::new(40.0),
-            avg_bw_util: mpshare_types::Percent::new(10.0),
-            max_memory: mpshare_types::MemBytes::from_gib(1),
+            avg_sm_util: Percent::new(40.0),
+            avg_bw_util: Percent::new(10.0),
+            max_memory: MemBytes::from_gib(mem_gib),
             // Unchecked scaling: `Seconds::new` would refuse NaN and
             // negative values, but arithmetic can still produce them.
             duration: Seconds::new(1.0) * duration,
             energy: Energy::from_joules(100.0),
             avg_power: Power::from_watts(150.0),
             busy_fraction: 0.8,
-            saturation_partition: mpshare_types::Fraction::new(0.5),
+            saturation_partition: Fraction::new(0.5),
         }
     }
 
@@ -615,9 +556,9 @@ mod tests {
         SchedulePlan {
             groups: indices
                 .iter()
-                .map(|&i| crate::planner::PlanGroup {
+                .map(|&i| PlanGroup {
                     workflow_indices: vec![i],
-                    partitions: vec![mpshare_types::Fraction::ONE],
+                    partitions: vec![Fraction::ONE],
                 })
                 .collect(),
         }
@@ -636,14 +577,13 @@ mod tests {
     #[test]
     fn degenerate_durations_are_typed_errors() {
         let d = device();
-        let exec = NodeExecutor::new(ExecutorConfig::new(d.clone()), 2).unwrap();
+        let exec = NodeExecutor::new(ExecutorConfig::new(d.clone()), gpus(2)).unwrap();
         let workflows = &queue()[..2];
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            let profiles = vec![synthetic_profile(10.0), synthetic_profile(bad)];
+            let profiles = vec![synthetic_profile(10.0, 1), synthetic_profile(bad, 1)];
             let plan = solo_plan(&[0, 1]);
-            assert_invalid_naming(distribute_plan(&d, &plan, &profiles, 2, 0.0), "duration");
             assert_invalid_naming(
-                distribute_plan_heterogeneous(&d, std::slice::from_ref(&d), &plan, &profiles, 0.0),
+                distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0),
                 "duration",
             );
             assert_invalid_naming(exec.run_sequential(workflows, &profiles), "duration");
@@ -653,23 +593,53 @@ mod tests {
     #[test]
     fn out_of_range_workflow_index_is_a_typed_error() {
         let d = device();
-        let profiles = vec![synthetic_profile(10.0)];
+        let profiles = vec![synthetic_profile(10.0, 1)];
         let plan = solo_plan(&[0, 3]);
         assert_invalid_naming(
-            distribute_plan(&d, &plan, &profiles, 2, 0.0),
-            "workflow_indices",
-        );
-        assert_invalid_naming(
-            distribute_plan_heterogeneous(&d, std::slice::from_ref(&d), &plan, &profiles, 0.0),
+            distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0),
             "workflow_indices",
         );
     }
 
+    /// A group planned for the 80 GiB A100X (two 35 GiB workflows) only
+    /// goes to a GPU that can hold it: never to a 64 GiB MI250X GCD, even
+    /// when the GCD is the less loaded GPU, and a node of GCDs alone
+    /// cannot take it at all.
     #[test]
-    fn zero_gpu_node_is_rejected() {
-        let d = device();
-        assert!(NodeExecutor::new(ExecutorConfig::new(d.clone()), 0).is_err());
-        let plan = SchedulePlan { groups: vec![] };
-        assert!(distribute_plan(&d, &plan, &[], 0, 0.0).is_err());
+    fn mixed_node_places_groups_only_where_they_fit() {
+        let a100 = device();
+        let gcd = DeviceSpec::mi250x_gcd();
+        let profiles = vec![
+            synthetic_profile(10.0, 35),
+            synthetic_profile(10.0, 35),
+            synthetic_profile(100.0, 1),
+        ];
+        let pair = PlanGroup {
+            workflow_indices: vec![0, 1],
+            partitions: vec![Fraction::ONE, Fraction::ONE],
+        };
+        let long = solo_plan(&[2]).groups.remove(0);
+        let plan = SchedulePlan {
+            groups: vec![pair.clone(), long.clone()],
+        };
+        plan.validate(&a100, &profiles).unwrap();
+
+        assert_invalid_naming(
+            distribute_plan(&a100, &[gcd.clone(), gcd.clone()], &plan, &profiles, 0.0),
+            "group 0",
+        );
+
+        // LPT places the long solo group first, on the faster A100X; the
+        // idle GCD would then finish the pair sooner, but cannot hold it.
+        let devices = vec![a100.clone(), gcd.clone()];
+        let node = distribute_plan(&a100, &devices, &plan, &profiles, 0.0).unwrap();
+        assert_eq!(node.per_gpu[0].groups, vec![long, pair]);
+        assert!(node.per_gpu[1].groups.is_empty());
+        node.validate(&devices, &profiles).unwrap();
+
+        // The same per-GPU plans checked against the swapped devices: the
+        // pair would sit on the GCD.
+        let err = node.validate(&[gcd, a100], &profiles).unwrap_err();
+        assert!(err.to_string().contains("device memory"), "{err}");
     }
 }

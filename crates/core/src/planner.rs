@@ -135,7 +135,6 @@ pub struct Planner {
     priority: MetricPriority,
     partition_strategy: PartitionStrategy,
     sharing_overhead: f64,
-    exhaustive_pruning: bool,
 }
 
 impl Planner {
@@ -145,7 +144,6 @@ impl Planner {
             priority,
             partition_strategy: PartitionStrategy::default_saturation_aware(),
             sharing_overhead: 0.0,
-            exhaustive_pruning: true,
         }
     }
 
@@ -156,17 +154,6 @@ impl Planner {
 
     pub fn with_sharing_overhead(mut self, o: f64) -> Self {
         self.sharing_overhead = o;
-        self
-    }
-
-    /// Enables/disables branch-and-bound pruning in
-    /// [`PlannerStrategy::Exhaustive`]. Pruning is on by default and
-    /// returns the identical plan (the bounds are admissible and the
-    /// incumbent-selection order is preserved); disabling it falls back to
-    /// the plain brute-force enumeration — the reference the equivalence
-    /// property test compares against.
-    pub fn with_exhaustive_pruning(mut self, enabled: bool) -> Self {
-        self.exhaustive_pruning = enabled;
         self
     }
 
@@ -590,13 +577,13 @@ impl Planner {
     /// strictly-greater comparison, so the winning partition is exactly the
     /// one the serial search returns.
     ///
-    /// By default each sub-tree is searched branch-and-bound
-    /// ([`BranchAndBound`]): partial groupings carry an admissible score
-    /// upper bound, and sub-trees that cannot *strictly* beat the worker's
-    /// incumbent are pruned — the surviving leaf visit order and the
-    /// strictly-greater incumbent rule are those of the brute force, so
-    /// the returned plan is identical ([`Planner::with_exhaustive_pruning`]
-    /// switches back to the plain enumeration).
+    /// Each sub-tree is searched branch-and-bound ([`BranchAndBound`]):
+    /// partial groupings carry an admissible score upper bound, and
+    /// sub-trees that cannot *strictly* beat the worker's incumbent are
+    /// pruned. The surviving leaf visit order and the strictly-greater
+    /// incumbent rule are those of a plain brute-force enumeration, so the
+    /// returned plan is identical to it; `tests/perf_equivalence.rs` holds
+    /// that brute-force reference and pins the equality.
     fn plan_exhaustive(
         &self,
         profiles: &[WorkflowProfile],
@@ -620,24 +607,9 @@ impl Planner {
         });
 
         let seq = Self::sequential_baseline(profiles);
-        let bound = if self.exhaustive_pruning {
-            self.exhaustive_bound(profiles, &seq)
-        } else {
-            None
-        };
+        let bound = self.exhaustive_bound(profiles, &seq);
         let local_bests = mpshare_par::par_map(&prefixes, |(prefix, max_used)| {
-            if self.exhaustive_pruning {
-                self.exhaustive_worker_pruned(
-                    profiles,
-                    &seq,
-                    memo,
-                    bound.as_ref(),
-                    prefix,
-                    *max_used,
-                )
-            } else {
-                self.exhaustive_worker_brute(profiles, &seq, memo, prefix, *max_used)
-            }
+            self.exhaustive_worker_pruned(profiles, &seq, memo, bound.as_ref(), prefix, *max_used)
         });
 
         let groups = Self::first_best(local_bests.into_iter().flatten())
@@ -645,74 +617,12 @@ impl Planner {
         Ok(self.materialize(&groups, profiles))
     }
 
-    /// One worker's plain brute-force sub-enumeration (the reference the
-    /// branch-and-bound path is property-tested against).
-    fn exhaustive_worker_brute(
-        &self,
-        profiles: &[WorkflowProfile],
-        seq: &GroupEstimate,
-        memo: &EstimateMemo,
-        prefix: &[usize],
-        prefix_max: usize,
-    ) -> Option<(f64, Vec<Vec<usize>>)> {
-        let n = profiles.len();
-        let prefix_len = prefix.len();
-        let mut assignment = vec![0usize; n];
-        assignment[..prefix_len].copy_from_slice(prefix);
-        let mut best: Option<(f64, Vec<Vec<usize>>)> = None;
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        // Dense front of the shared memo: with n ≤ 12 every group is
-        // an ascending index list below 64, i.e. a subset mask that
-        // fits a direct-indexed table. A dense hit is an array load;
-        // only the first touch per worker goes through the hashed
-        // shard (which dedups the actual estimate across workers).
-        let mut dense: Vec<Option<GroupEstimate>> = vec![None; 1usize << n];
-        enumerate_partitions(&mut assignment, prefix_len, prefix_max, &mut |assign, k| {
-            for g in groups.iter_mut() {
-                g.clear();
-            }
-            if groups.len() < k {
-                groups.resize_with(k, Vec::new);
-            }
-            for (i, &g) in assign.iter().enumerate() {
-                groups[g].push(i);
-            }
-            // Hard constraints: memory and client limit.
-            for g in &groups[..k] {
-                if g.len() > self.device.max_mps_clients {
-                    return;
-                }
-                let mem: mpshare_types::MemBytes = g.iter().map(|&i| profiles[i].max_memory).sum();
-                if mem > self.device.memory_capacity {
-                    return;
-                }
-            }
-            // Score the raw member lists: the score is partition-free,
-            // so only the overall winner is materialized. The sums run
-            // left to right in group-index order, exactly as
-            // `score_groups` would.
-            let mut makespan = 0.0;
-            let mut energy = 0.0;
-            for g in &groups[..k] {
-                let mask: usize = g.iter().fold(0, |m, &i| m | (1 << i));
-                let e = dense[mask].get_or_insert_with(|| self.estimate_members(g, profiles, memo));
-                makespan += e.makespan.value();
-                energy += e.energy.joules();
-            }
-            let score = self.score_totals(seq, makespan, energy);
-            if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                best = Some((score, groups[..k].to_vec()));
-            }
-        });
-        best
-    }
-
-    /// One worker's branch-and-bound sub-enumeration: an explicit DFS
-    /// mirroring [`enumerate_partitions`]'s visit order, with hard
-    /// constraints checked at assignment time (a violating group only
-    /// grows down-tree, so every pruned leaf would have early-returned)
-    /// and, when `bound` is available, admissible score-bound pruning
-    /// against the worker-local incumbent.
+    /// One worker's branch-and-bound sub-enumeration: a DFS in
+    /// restricted-growth-string order (as [`enumerate_prefixes`] visits
+    /// full-length strings), with hard constraints checked at assignment
+    /// time (a violating group only grows down-tree, so no leaf below it
+    /// is feasible) and, when `bound` is available, admissible score-bound
+    /// pruning against the worker-local incumbent.
     fn exhaustive_worker_pruned(
         &self,
         profiles: &[WorkflowProfile],
@@ -903,10 +813,12 @@ impl Planner {
     }
 }
 
-/// Enumerates restricted-growth-string prefixes: like
-/// [`enumerate_partitions`] but visits every *partial* assignment of the
-/// buffer's length together with its `max_used` watermark, letting the
-/// exhaustive search split the full enumeration into independent sub-trees.
+/// Enumerates restricted-growth strings of the buffer's length — each
+/// position joins one of the `max_used` groups opened before it or opens
+/// group `max_used` — visiting each with its final `max_used` (its group
+/// count). Over a prefix-length buffer this splits the exhaustive search
+/// into independent sub-trees; over a full-length buffer it enumerates
+/// every set partition.
 fn enumerate_prefixes(
     prefix: &mut Vec<usize>,
     pos: usize,
@@ -921,25 +833,6 @@ fn enumerate_prefixes(
         prefix[pos] = g;
         let next_max = max_used.max(g + 1);
         enumerate_prefixes(prefix, pos + 1, next_max, visit);
-    }
-}
-
-/// Enumerates set partitions via restricted-growth strings: position `i`
-/// may use any group id `0..=max_used+1`.
-fn enumerate_partitions(
-    assignment: &mut Vec<usize>,
-    pos: usize,
-    max_used: usize,
-    visit: &mut impl FnMut(&[usize], usize),
-) {
-    if pos == assignment.len() {
-        visit(assignment, max_used);
-        return;
-    }
-    for g in 0..=max_used {
-        assignment[pos] = g;
-        let next_max = max_used.max(g + 1);
-        enumerate_partitions(assignment, pos + 1, next_max, visit);
     }
 }
 
@@ -976,7 +869,8 @@ struct SavedGroup {
 
 /// Depth-first branch-and-bound over one restricted-growth-string sub-tree.
 ///
-/// The DFS visits leaves in exactly [`enumerate_partitions`]'s order and
+/// The DFS visits leaves in restricted-growth-string order, exactly as a
+/// brute-force enumeration of every set partition would, and
 /// applies the same strictly-greater incumbent rule, so with pruning that
 /// only removes leaves scoring ≤ the incumbent (which can never *replace*
 /// it), the surviving incumbent sequence — and hence the final best — is
@@ -992,7 +886,11 @@ struct BranchAndBound<'a> {
     seq: &'a GroupEstimate,
     memo: &'a EstimateMemo,
     bound: Option<&'a ExhaustiveBound>,
-    /// Dense mask-indexed estimate table, as in the brute-force worker.
+    /// Dense front of the shared memo: with n ≤ 12 every group is an
+    /// ascending index list below 64, i.e. a subset mask that indexes this
+    /// table directly. A hit is an array load; only the first touch per
+    /// worker goes through the hashed memo shard (which dedups the actual
+    /// estimate across workers).
     dense: Vec<Option<GroupEstimate>>,
     /// Current partial grouping; slots beyond the live `max_used` may
     /// linger empty (with zeroed totals) after backtracking.
@@ -1084,11 +982,12 @@ impl BranchAndBound<'_> {
     }
 
     /// Recursive search over positions `pos..n`, mirroring
-    /// [`enumerate_partitions`]'s `for g in 0..=max_used` order.
+    /// [`enumerate_prefixes`]'s `for g in 0..=max_used` order.
     fn dfs(&mut self, pos: usize, max_used: usize) {
         if pos == self.n {
-            // Leaf: same left-to-right group-order fold and strictly-greater
-            // incumbent rule as the brute-force visit.
+            // Leaf: the group totals fold left to right in group order, as
+            // `score_plan` sums them, under the strictly-greater incumbent
+            // rule.
             let mut makespan = 0.0;
             let mut energy = 0.0;
             for g in 0..max_used {
@@ -1148,7 +1047,7 @@ mod tests {
         // Bell(4) = 15 set partitions.
         let mut count = 0;
         let mut a = vec![0usize; 4];
-        enumerate_partitions(&mut a, 0, 0, &mut |_, _| count += 1);
+        enumerate_prefixes(&mut a, 0, 0, &mut |_, _| count += 1);
         assert_eq!(count, 15);
     }
 

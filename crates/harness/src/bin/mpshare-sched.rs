@@ -28,11 +28,12 @@
 //! ```
 
 use mpshare_core::{
-    advise, plan_with_dependencies, validate_dependencies, workflow_profile, Dependency, Executor,
-    ExecutorConfig, MetricPriority, NodeExecutor, Planner, PlannerStrategy,
+    advise, distribute_plan, plan_with_dependencies, validate_dependencies, workflow_profile,
+    Dependency, Executor, ExecutorConfig, MetricPriority, NodeExecutor, Planner, PlannerStrategy,
 };
 use mpshare_gpusim::DeviceSpec;
-use mpshare_profiler::{chrome_trace, ProfileStore};
+use mpshare_obs::perfetto::chrome_trace;
+use mpshare_profiler::ProfileStore;
 use mpshare_types::IdAllocator;
 use mpshare_workloads::WorkflowSpec;
 use serde::Deserialize;
@@ -214,9 +215,10 @@ fn run(args: Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         (report.metrics, describe_groups(&plan, &profiles))
     } else {
-        let node = mpshare_core::distribute_plan(&device, &plan, &profiles, args.gpus, 0.0)
-            .map_err(|e| e.to_string())?;
-        let exec = NodeExecutor::new(config.clone(), args.gpus).map_err(|e| e.to_string())?;
+        let devices = vec![device.clone(); args.gpus];
+        let node =
+            distribute_plan(&device, &devices, &plan, &profiles, 0.0).map_err(|e| e.to_string())?;
+        let exec = NodeExecutor::new(config.clone(), devices).map_err(|e| e.to_string())?;
         let metrics = exec
             .evaluate(&spec.workflows, &profiles, &node)
             .map_err(|e| e.to_string())?;

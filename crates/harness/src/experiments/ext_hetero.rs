@@ -9,8 +9,8 @@
 
 use crate::table::{fmt, Experiment, TextTable};
 use mpshare_core::{
-    distribute_plan_heterogeneous, relative_throughput, workflow_profile, ExecutorConfig,
-    HeteroNodeExecutor, MetricPriority, Planner, PlannerStrategy,
+    distribute_plan, relative_throughput, workflow_profile, ExecutorConfig, MetricPriority,
+    NodeExecutor, Planner, PlannerStrategy,
 };
 use mpshare_gpusim::DeviceSpec;
 use mpshare_profiler::ProfileStore;
@@ -66,9 +66,8 @@ pub fn rows(reference: &DeviceSpec) -> Result<Vec<Row>> {
     shapes
         .into_iter()
         .map(|(name, devices)| {
-            let node = distribute_plan_heterogeneous(reference, &devices, &plan, &profiles, 0.0)?;
-            let exec =
-                HeteroNodeExecutor::new(ExecutorConfig::new(reference.clone()), devices.clone())?;
+            let node = distribute_plan(reference, &devices, &plan, &profiles, 0.0)?;
+            let exec = NodeExecutor::new(ExecutorConfig::new(reference.clone()), devices.clone())?;
             let outcome = exec.run_plan(&q, &node)?;
             let speed: f64 = devices
                 .iter()

@@ -56,8 +56,9 @@ pub fn points(device: &DeviceSpec) -> Result<Vec<Point>> {
     GPU_COUNTS
         .iter()
         .map(|&gpus| {
-            let node_plan = distribute_plan(device, &plan, &profiles, gpus, 0.0)?;
-            let exec = NodeExecutor::new(ExecutorConfig::new(device.clone()), gpus)?;
+            let devices = vec![device.clone(); gpus];
+            let node_plan = distribute_plan(device, &devices, &plan, &profiles, 0.0)?;
+            let exec = NodeExecutor::new(ExecutorConfig::new(device.clone()), devices)?;
             let shared = exec.run_plan(&q, &node_plan)?;
             let metrics = exec.evaluate(&q, &profiles, &node_plan)?;
             Ok(Point {

@@ -1,18 +1,66 @@
-//! Error paths of the `mpshare-sched` command line, run as a subprocess.
+//! The `mpshare-sched` command line, run as a subprocess: its error paths,
+//! the multi-GPU node path and the per-group trace export.
 
-use std::path::Path;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn example_queue() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../configs/example_queue.json")
+}
+
+fn sched(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mpshare-sched"))
+        .arg(example_queue())
+        .args(args)
+        .output()
+        .expect("mpshare-sched runs")
+}
 
 #[test]
 fn zero_gpus_is_a_usage_error() {
-    let queue = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../configs/example_queue.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_mpshare-sched"))
-        .arg(queue)
-        .args(["--gpus", "0"])
-        .output()
-        .expect("mpshare-sched runs");
+    let out = sched(&["--gpus", "0"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--gpus"), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "no plan may be printed");
+}
+
+#[test]
+fn two_gpu_node_prints_the_plan_and_metrics_as_json() {
+    let out = sched(&["--gpus", "2", "--json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let parsed: serde_json::Value =
+        serde_json::from_str(&stdout).expect("stdout is one JSON document");
+    assert!(!parsed["plan"]["groups"].as_array().unwrap().is_empty());
+    assert!(parsed["metrics"]["throughput_gain"].as_f64().unwrap() > 0.0);
+}
+
+#[test]
+fn trace_prefix_writes_one_chrome_trace_per_group() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let prefix = dir.join("queue");
+    let out = sched(&["--trace", prefix.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+
+    let traces: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| p.to_string_lossy().ends_with(".trace.json"))
+        .collect();
+    assert!(
+        !traces.is_empty(),
+        "no *.trace.json written; stderr: {stderr}"
+    );
+    for path in &traces {
+        let trace: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let events = trace["traceEvents"].as_array().unwrap();
+        assert!(!events.is_empty(), "{} has no trace events", path.display());
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

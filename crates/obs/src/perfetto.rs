@@ -1,8 +1,8 @@
 //! Unified Chrome-tracing / Perfetto export.
 //!
-//! This module owns the full timeline story: the engine-side export that
-//! `mpshare_profiler::trace::chrome_trace` delegates to (pids 0–2: device
-//! counters, task spans, kernel spans), and the merged export that adds
+//! This module owns the full timeline story: the engine-only export,
+//! [`chrome_trace`] (pids 0–2: device counters, task spans, kernel
+//! spans), and the merged export that adds
 //! one process track per control-plane [`Track`] (pids 3–6) so a single
 //! trace shows *why* a group was formed (planner decision audits), *how*
 //! it was dispatched (scheduler/daemon spans), and *what* it did to the
@@ -291,30 +291,17 @@ fn render(events: &[TraceEvent]) -> String {
         .expect("trace serialization cannot fail")
 }
 
-/// Engine-only Chrome-tracing JSON (the `mpshare_profiler::trace`
-/// delegation target).
+/// Engine-only Chrome-tracing JSON of one run (what `mpshare-sched
+/// --trace` writes per group).
 pub fn chrome_trace(result: &RunResult) -> String {
     render(&engine_events(result))
 }
 
-/// The unified export: engine timeline (when a run is given) merged with
-/// the control-plane tracks. Engine process tracks get process names here
-/// (the engine-only export leaves them implicit for compatibility).
-pub fn merged_chrome_trace(result: Option<&RunResult>, records: &[ObsRecord]) -> String {
-    let mut events: Vec<TraceEvent> = Vec::new();
-    if let Some(result) = result {
-        events.push(TraceEvent::meta("process_name", 0, 0, "device"));
-        events.push(TraceEvent::meta("process_name", 1, 0, "clients"));
-        events.push(TraceEvent::meta("process_name", 2, 0, "kernels"));
-        events.extend(engine_events(result));
-    }
-    events.extend(control_events(records));
-    render(&events)
-}
-
-/// [`merged_chrome_trace`] plus the timeline store's counter tracks on
-/// [`TIMELINE_PID`] — the full picture in one artifact: engine timeline,
-/// control-plane decisions, and the aggregated simulated-time series.
+/// The unified export — the full picture in one artifact: the engine
+/// timeline (when a run is given), the control-plane tracks, and the
+/// timeline store's counter tracks on [`TIMELINE_PID`] (none for an empty
+/// store). Engine process tracks get process names here (the engine-only
+/// export leaves them implicit).
 pub fn merged_chrome_trace_with_timelines(
     result: Option<&RunResult>,
     records: &[ObsRecord],
@@ -409,17 +396,12 @@ mod tests {
         let parsed: Value = serde_json::from_str(&trace).unwrap();
         assert!(parsed.get("traceEvents").is_some());
         assert!(trace.contains("device.sm_util"));
-        // An empty store adds nothing over the plain merged export.
-        let empty = TimelineStore::new();
-        assert_eq!(
-            merged_chrome_trace_with_timelines(None, &sample_records(), &empty),
-            merged_chrome_trace(None, &sample_records())
-        );
     }
 
     #[test]
     fn merged_trace_is_valid_json() {
-        let trace = merged_chrome_trace(None, &sample_records());
+        let trace =
+            merged_chrome_trace_with_timelines(None, &sample_records(), &TimelineStore::new());
         let parsed: Value = serde_json::from_str(&trace).unwrap();
         let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
         assert!(!events.is_empty());

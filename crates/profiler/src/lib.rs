@@ -17,20 +17,20 @@
 //!   simulated exactly once no matter how many stores exist;
 //! * [`scaling`] infers profiles at unmeasured problem sizes from two
 //!   measured ones ("scaling is well-understood for a vast majority of HPC
-//!   codes");
-//! * [`trace`] exports run timelines as Chrome-tracing JSON — the
-//!   Nsight-Systems-style visualization of a co-scheduled run.
+//!   codes").
+//!
+//! Run timelines export as Chrome-tracing JSON through
+//! `mpshare_obs::perfetto::chrome_trace` — the Nsight-Systems-style view
+//! of a co-scheduled run.
 
 pub mod cache;
 pub mod collector;
 pub mod profile;
 pub mod scaling;
 pub mod store;
-pub mod trace;
 
 pub use cache::ProfileCache;
 pub use collector::{profile_program, profile_task};
 pub use profile::{OccupancyProfile, TaskProfile};
 pub use scaling::infer_profile;
 pub use store::{ProfileKey, ProfileStore};
-pub use trace::chrome_trace;

@@ -5,8 +5,12 @@
 //! must return *bit-identical* results to the from-scratch path it
 //! replaces. These properties drive randomized workloads (including
 //! fault-abort churn) through both paths and compare the full outputs.
+//! The plan search is compared against [`brute_force_plan`], a plain
+//! enumeration written here from the planner's public API only.
 
-use mpshare::core::{MetricPriority, Planner, PlannerStrategy, WorkflowProfile};
+use mpshare::core::{
+    MetricPriority, PlanGroup, Planner, PlannerStrategy, SchedulePlan, WorkflowProfile,
+};
 use mpshare::gpusim::{
     ClientProgram, DeviceSpec, Engine, EngineConfig, EngineRun, EngineScratch, EngineStats,
     FaultPlan, RunResult, SharingMode, ValidatedPrograms,
@@ -120,6 +124,76 @@ fn profile_strategy() -> impl Strategy<Value = WorkflowProfile> {
         })
 }
 
+/// Calls `visit` with every set partition of `0..n` as a restricted-growth
+/// string (`assign[i]` is item `i`'s group; each item joins a group opened
+/// before it or opens the next one), in lexicographic order.
+fn for_each_partition(n: usize, visit: &mut impl FnMut(&[usize], usize)) {
+    fn grow(
+        assign: &mut Vec<usize>,
+        groups: usize,
+        n: usize,
+        visit: &mut impl FnMut(&[usize], usize),
+    ) {
+        if assign.len() == n {
+            visit(assign, groups);
+            return;
+        }
+        for g in 0..=groups {
+            assign.push(g);
+            grow(assign, groups.max(g + 1), n, visit);
+            assign.pop();
+        }
+    }
+    grow(&mut Vec::with_capacity(n), 0, n, visit);
+}
+
+/// The exhaustive plan by brute force: every set partition of the queue
+/// that fits the device (client limit and memory per group), scored with
+/// [`Planner::score_plan`]; the first strictly greater score wins, and the
+/// winner's partitions come from the planner's partition strategy.
+fn brute_force_plan(
+    planner: &Planner,
+    device: &DeviceSpec,
+    profiles: &[WorkflowProfile],
+) -> SchedulePlan {
+    let mut best: Option<(f64, SchedulePlan)> = None;
+    for_each_partition(profiles.len(), &mut |assign, k| {
+        let mut groups = vec![Vec::new(); k];
+        for (i, &g) in assign.iter().enumerate() {
+            groups[g].push(i);
+        }
+        let fits = groups.iter().all(|g| {
+            let mem: MemBytes = g.iter().map(|&i| profiles[i].max_memory).sum();
+            g.len() <= device.max_mps_clients && mem <= device.memory_capacity
+        });
+        if !fits {
+            return;
+        }
+        // Scores read only the member lists; partitions are filled in for
+        // the winner alone.
+        let plan = SchedulePlan {
+            groups: groups
+                .into_iter()
+                .map(|workflow_indices| PlanGroup {
+                    workflow_indices,
+                    partitions: Vec::new(),
+                })
+                .collect(),
+        };
+        let score = planner.score_plan(&plan, profiles);
+        if best.as_ref().is_none_or(|(s, _)| score > *s) {
+            best = Some((score, plan));
+        }
+    });
+    let (_, mut plan) = best.expect("a feasible partition exists");
+    for g in &mut plan.groups {
+        let members: Vec<&WorkflowProfile> =
+            g.workflow_indices.iter().map(|&i| &profiles[i]).collect();
+        g.partitions = planner.partition_strategy().partitions(&members);
+    }
+    plan
+}
+
 fn priority_strategy() -> impl Strategy<Value = MetricPriority> {
     (0usize..3).prop_map(|i| match i {
         0 => MetricPriority::Throughput,
@@ -158,18 +232,16 @@ proptest! {
     }
 
     /// Branch-and-bound exhaustive planning must return the *same plan* as
-    /// the unpruned enumeration — not just an equally-scored one — on
-    /// random workloads up to n = 10, across every metric priority.
+    /// the brute-force enumeration — not just an equally-scored one — on
+    /// random workloads, across every metric priority.
     #[test]
     fn pruned_exhaustive_matches_brute_force(
         profiles in prop::collection::vec(profile_strategy(), 2..8),
         priority in priority_strategy(),
     ) {
-        let pruned = Planner::new(device(), priority);
-        let brute = pruned.clone().with_exhaustive_pruning(false);
-        let fast = pruned.plan(&profiles, PlannerStrategy::Exhaustive).unwrap();
-        let slow = brute.plan(&profiles, PlannerStrategy::Exhaustive).unwrap();
-        prop_assert_eq!(fast, slow);
+        let planner = Planner::new(device(), priority);
+        let fast = planner.plan(&profiles, PlannerStrategy::Exhaustive).unwrap();
+        prop_assert_eq!(fast, brute_force_plan(&planner, &device(), &profiles));
     }
 }
 
@@ -202,10 +274,11 @@ fn pruned_exhaustive_matches_brute_force_n10() {
         MetricPriority::Energy,
         MetricPriority::balanced_product(),
     ] {
-        let pruned = Planner::new(device(), priority);
-        let brute = pruned.clone().with_exhaustive_pruning(false);
-        let fast = pruned.plan(&profiles, PlannerStrategy::Exhaustive).unwrap();
-        let slow = brute.plan(&profiles, PlannerStrategy::Exhaustive).unwrap();
+        let planner = Planner::new(device(), priority);
+        let fast = planner
+            .plan(&profiles, PlannerStrategy::Exhaustive)
+            .unwrap();
+        let slow = brute_force_plan(&planner, &device(), &profiles);
         assert_eq!(fast, slow, "priority {priority:?}");
     }
 }
