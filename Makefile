@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all fmt clippy doc alloc-gate bench bench-build bench-gate fault-smoke trace-smoke fuzz-smoke clean
+.PHONY: check build test test-all fmt clippy doc alloc-gate bench bench-build bench-gate bench-ab fault-smoke trace-smoke fuzz-smoke clean
 
 # The full tier-1 gate: release build, every workspace crate's tests (the
 # root package's included), formatting, lints, warning-free API docs, the
@@ -91,6 +91,40 @@ bench-gate: build
 		rm -f $(CURDIR)/.bench-gate.json && \
 		echo "bench regression gate passed"; \
 	fi
+
+# Wall-time A/B against the parent commit, measured in the same window
+# (not part of `check`). The parent is HEAD~1 when the tree is clean and
+# HEAD when tracked files have uncommitted changes — the commit under the
+# candidate either way. It is checked out with `git worktree` (offline)
+# under .bench-ab/ and its engine_performance bench is built into its own
+# target dir; 3 rounds then run both bench executables, alternating which
+# side goes first (host speed drifts for minutes). Each side keeps every
+# scenario's minimum median over its rounds, and bench_gate judges the
+# candidate against the parent with the 25% bound.
+AB := $(CURDIR)/.bench-ab
+AB_BENCH := --offline -q -p mpshare-bench --bench engine_performance
+AB_EXE := select(.target.kind == ["bench"] and .executable != null) | .executable
+AB_MIN := {unit: .[0].unit, scenarios: [map(.scenarios[]) | group_by(.name)[] | {name: .[0].name, median_ns: (map(.median_ns) | min)}]}
+bench-ab: build
+	@rm -rf $(AB) && git worktree prune && mkdir -p $(AB)/runs
+	git worktree add --detach $(AB)/parent \
+		$$(git diff --quiet HEAD && echo HEAD~1 || echo HEAD) >/dev/null
+	@parent=$$(cd $(AB)/parent && CARGO_TARGET_DIR=$(AB)/target \
+		$(CARGO) bench $(AB_BENCH) --no-run --message-format=json | jq -r '$(AB_EXE)') && \
+	cand=$$($(CARGO) bench $(AB_BENCH) --no-run --message-format=json | jq -r '$(AB_EXE)') && \
+	for i in 1 2 3; do \
+		if [ $$((i % 2)) = 1 ]; then order="parent cand"; else order="cand parent"; fi; \
+		for side in $$order; do \
+			if [ $$side = parent ]; then exe=$$parent; else exe=$$cand; fi; \
+			MPSHARE_BENCH_JSON=$(AB)/runs/$$side-$$i.json $$exe --bench >/dev/null || exit 1; \
+		done; \
+		echo "bench-ab: round $$i done ($$order)"; \
+	done
+	@for side in parent cand; do \
+		jq -s '$(AB_MIN)' $(AB)/runs/$$side-*.json > $(AB)/$$side.json || exit 1; \
+	done
+	git worktree remove --force $(AB)/parent
+	./target/release/bench_gate $(AB)/parent.json $(AB)/cand.json --max-regression 0.25
 
 # Fault-injection determinism gate: the seeded ext_faults experiment must
 # be bit-identical run-to-run and across serial vs. parallel execution.

@@ -8,7 +8,6 @@
 //!   default partitions (maximum oversubscription).
 
 use crate::planner::{PlanGroup, SchedulePlan};
-use crate::wprofile::WorkflowProfile;
 use mpshare_types::Fraction;
 
 /// Groups workflows in queue order, `cap` at a time, with default (100 %)
@@ -31,26 +30,9 @@ pub fn single_group_plan(n_workflows: usize) -> SchedulePlan {
     fifo_plan(n_workflows, n_workflows.max(1))
 }
 
-/// Sorts workflow indices by ascending average SM utilization — the
-/// paper's "schedule lowest-utilization workflows first" recommendation,
-/// usable as an ordering pass before FIFO packing in ablations.
-pub fn lowest_utilization_order(profiles: &[WorkflowProfile]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..profiles.len()).collect();
-    order.sort_by(|&a, &b| {
-        profiles[a]
-            .avg_sm_util
-            .value()
-            .partial_cmp(&profiles[b].avg_sm_util.value())
-            .expect("finite utilizations")
-            .then(a.cmp(&b))
-    });
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpshare_types::{Energy, MemBytes, Percent, Power, Seconds};
 
     #[test]
     fn fifo_groups_in_queue_order() {
@@ -81,23 +63,5 @@ mod tests {
     fn zero_cap_is_clamped() {
         let plan = fifo_plan(2, 0);
         assert_eq!(plan.groups.len(), 2);
-    }
-
-    #[test]
-    fn lowest_utilization_order_sorts_ascending() {
-        let mk = |sm: f64| WorkflowProfile {
-            label: "w".into(),
-            task_count: 1,
-            avg_sm_util: Percent::new(sm),
-            avg_bw_util: Percent::ZERO,
-            max_memory: MemBytes::ZERO,
-            duration: Seconds::new(1.0),
-            energy: Energy::from_joules(100.0),
-            avg_power: Power::from_watts(100.0),
-            busy_fraction: 0.5,
-            saturation_partition: mpshare_types::Fraction::new(0.9),
-        };
-        let profiles = vec![mk(50.0), mk(10.0), mk(30.0)];
-        assert_eq!(lowest_utilization_order(&profiles), vec![1, 2, 0]);
     }
 }

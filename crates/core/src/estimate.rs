@@ -5,8 +5,7 @@
 //! makespan and energy from profiles alone:
 //!
 //! * **makespan** — the longest workflow, stretched by the predicted
-//!   contention factor `max(1, ΣSM/100, ΣBW/100)` and the per-co-runner
-//!   sharing overhead;
+//!   contention factor `max(1, ΣSM/100, ΣBW/100)`;
 //! * **energy** — idle power over the makespan plus each workflow's
 //!   dynamic energy, which is invariant under contention stretching
 //!   (dynamic power scales with progress rate while time scales
@@ -29,15 +28,14 @@ pub struct GroupEstimate {
     pub tasks: usize,
 }
 
-/// Estimates a group's makespan and energy under MPS collocation.
+/// Estimates a group's makespan and energy under MPS collocation, from the
+/// profiles alone.
 ///
-/// `sharing_overhead` is the same per-co-runner coefficient the engine's
-/// contention model uses.
-pub fn estimate_group(
-    device: &DeviceSpec,
-    group: &[&WorkflowProfile],
-    sharing_overhead: f64,
-) -> GroupEstimate {
+/// The estimate charges no per-co-runner sharing overhead, while the
+/// executor's runs do ([`crate::executor::DEFAULT_MPS_OVERHEAD`]), so
+/// estimated and simulated makespans differ by that factor on top of the
+/// contention model's error.
+pub fn estimate_group(device: &DeviceSpec, group: &[&WorkflowProfile]) -> GroupEstimate {
     if group.is_empty() {
         return GroupEstimate {
             makespan: Seconds::ZERO,
@@ -45,12 +43,9 @@ pub fn estimate_group(
             tasks: 0,
         };
     }
-    let n = group.len() as f64;
     let sm_sum: f64 = group.iter().map(|p| p.avg_sm_util.value()).sum();
     let bw_sum: f64 = group.iter().map(|p| p.avg_bw_util.value()).sum();
-    let contention = (sm_sum / 100.0).max(bw_sum / 100.0).max(1.0);
-    let overhead = 1.0 + sharing_overhead * (n - 1.0);
-    let stretch = contention * overhead;
+    let stretch = (sm_sum / 100.0).max(bw_sum / 100.0).max(1.0);
 
     let makespan = group
         .iter()
@@ -105,7 +100,7 @@ mod tests {
 
     #[test]
     fn empty_group_estimates_zero() {
-        let e = estimate_group(&dev(), &[], 0.0);
+        let e = estimate_group(&dev(), &[]);
         assert_eq!(e.makespan, Seconds::ZERO);
         assert_eq!(e.tasks, 0);
     }
@@ -113,7 +108,7 @@ mod tests {
     #[test]
     fn non_interfering_group_runs_at_longest_workflow() {
         let (a, b) = (profile(30.0, 10.0, 150.0), profile(40.0, 6.0, 160.0));
-        let e = estimate_group(&dev(), &[&a, &b], 0.0);
+        let e = estimate_group(&dev(), &[&a, &b]);
         assert!((e.makespan.value() - 10.0).abs() < 1e-9);
         assert_eq!(e.tasks, 4);
     }
@@ -121,22 +116,14 @@ mod tests {
     #[test]
     fn oversubscribed_group_stretches() {
         let (a, b) = (profile(80.0, 10.0, 200.0), profile(80.0, 10.0, 200.0));
-        let e = estimate_group(&dev(), &[&a, &b], 0.0);
+        let e = estimate_group(&dev(), &[&a, &b]);
         assert!((e.makespan.value() - 16.0).abs() < 1e-9); // ×1.6
-    }
-
-    #[test]
-    fn sharing_overhead_adds_per_corunner_cost() {
-        let profiles: Vec<WorkflowProfile> = (0..4).map(|_| profile(10.0, 10.0, 100.0)).collect();
-        let refs: Vec<&WorkflowProfile> = profiles.iter().collect();
-        let e = estimate_group(&dev(), &refs, 0.01);
-        assert!((e.makespan.value() - 10.0 * 1.03).abs() < 1e-9);
     }
 
     #[test]
     fn collocation_saves_idle_energy_vs_sequential() {
         let (a, b) = (profile(30.0, 10.0, 150.0), profile(30.0, 10.0, 150.0));
-        let shared = estimate_group(&dev(), &[&a, &b], 0.0);
+        let shared = estimate_group(&dev(), &[&a, &b]);
         let seq = estimate_sequential(&[&a, &b]);
         assert!(shared.energy < seq.energy);
         // Savings equal one makespan's worth of idle power.

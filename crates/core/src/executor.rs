@@ -13,21 +13,20 @@ use mpshare_types::{Energy, IdAllocator, Percent, Power, Result, Seconds};
 use mpshare_workloads::WorkflowSpec;
 use serde::{Deserialize, Serialize};
 
-/// Default device-level per-co-runner MPS sharing overhead. The dominant
-/// co-runner costs are modeled per workload (each kernel's
-/// `client_sensitivity` — launch-path and scheduler contention under MPS);
-/// this residual covers what is workload-independent. Ablation benches
-/// sweep it.
+/// Device-level per-co-runner MPS sharing overhead every executor run
+/// charges. The dominant co-runner costs are modeled per workload (each
+/// kernel's `client_sensitivity` — launch-path and scheduler contention
+/// under MPS); this residual covers what is workload-independent. The
+/// planner's estimator does not charge it
+/// (see [`crate::estimate::estimate_group`]).
 pub const DEFAULT_MPS_OVERHEAD: f64 = 0.002;
 
-/// Executor configuration.
+/// Executor configuration. Every run charges [`DEFAULT_MPS_OVERHEAD`] per
+/// co-runner, and time-sliced runs use the driver's default quantum
+/// ([`TimeSliceConfig::driver_default`]).
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     pub device: DeviceSpec,
-    /// Per-co-runner MPS overhead (see [`DEFAULT_MPS_OVERHEAD`]).
-    pub sharing_overhead: f64,
-    /// Time-slicing parameters for the time-sliced comparison runs.
-    pub timeslice: TimeSliceConfig,
     /// Device the workloads were profiled/calibrated on, when different
     /// from the execution device (heterogeneous nodes). Programs are built
     /// against this device and carry it as their reference, so executing
@@ -39,15 +38,8 @@ impl ExecutorConfig {
     pub fn new(device: DeviceSpec) -> Self {
         ExecutorConfig {
             device,
-            sharing_overhead: DEFAULT_MPS_OVERHEAD,
-            timeslice: TimeSliceConfig::driver_default(),
             calibration_device: None,
         }
-    }
-
-    pub fn with_sharing_overhead(mut self, o: f64) -> Self {
-        self.sharing_overhead = o;
-        self
     }
 
     /// The device programs are built against.
@@ -206,8 +198,7 @@ impl Executor {
     }
 
     fn runner(&self) -> GpuRunner {
-        GpuRunner::new(self.config.device.clone())
-            .with_sharing_overhead(self.config.sharing_overhead)
+        GpuRunner::new(self.config.device.clone()).with_sharing_overhead(DEFAULT_MPS_OVERHEAD)
     }
 
     fn materialize(
@@ -255,9 +246,10 @@ impl Executor {
     /// comparison point).
     pub fn run_timesliced(&self, workflows: &[WorkflowSpec]) -> Result<RunOutcome> {
         let programs = self.materialize(workflows)?;
-        let result = self
-            .runner()
-            .run(&GpuSharing::TimeSliced(self.config.timeslice), programs)?;
+        let result = self.runner().run(
+            &GpuSharing::TimeSliced(TimeSliceConfig::driver_default()),
+            programs,
+        )?;
         let outcome = RunOutcome::from_result(&result);
         Self::record_leg("time-sliced", workflows.len(), &outcome);
         Ok(outcome)
@@ -394,33 +386,6 @@ impl Executor {
         Ok(report)
     }
 
-    /// Batch evaluation: runs the sequential baseline once and evaluates
-    /// every plan against it, fanning the per-plan simulations out across
-    /// worker threads. Reports are returned in input order and are
-    /// bit-identical to calling [`Executor::evaluate_plan`] per plan
-    /// (the baseline simulation is deterministic, so deduplicating it is
-    /// observationally free).
-    pub fn evaluate_plans(
-        &self,
-        workflows: &[WorkflowSpec],
-        plans: &[SchedulePlan],
-    ) -> Result<Vec<EvaluationReport>> {
-        if plans.is_empty() {
-            return Ok(Vec::new());
-        }
-        let sequential = self.run_sequential(workflows)?;
-        let legs =
-            mpshare_par::try_par_map(plans, |plan| self.run_plan_with_latencies(workflows, plan))?;
-        Ok(legs
-            .into_iter()
-            .map(|(shared, latencies)| {
-                let mut report = self.report(shared, sequential);
-                report.latencies = latencies;
-                report
-            })
-            .collect())
-    }
-
     /// Evaluates an arbitrary shared outcome against the baseline.
     pub fn report(&self, shared: RunOutcome, sequential: RunOutcome) -> EvaluationReport {
         let metrics = Metrics::relative(
@@ -475,7 +440,6 @@ mod tests {
             .map(|w| workflow_profile(&store, w).unwrap())
             .collect();
         Planner::new(dev(), priority)
-            .with_sharing_overhead(DEFAULT_MPS_OVERHEAD)
             .plan(&profiles, PlannerStrategy::Greedy)
             .unwrap()
     }
@@ -632,35 +596,6 @@ mod tests {
             solo: Seconds::ZERO,
         };
         assert_eq!(stalled.slowdown(), f64::INFINITY);
-    }
-
-    #[test]
-    fn batch_evaluation_matches_per_plan_evaluation() {
-        let wfs = light_pair();
-        let plans = vec![
-            plan_for(&wfs, MetricPriority::Throughput),
-            plan_for(&wfs, MetricPriority::Energy),
-            SchedulePlan {
-                groups: vec![
-                    PlanGroup {
-                        workflow_indices: vec![0],
-                        partitions: vec![Fraction::ONE],
-                    },
-                    PlanGroup {
-                        workflow_indices: vec![1],
-                        partitions: vec![Fraction::ONE],
-                    },
-                ],
-            },
-        ];
-        let ex = executor();
-        let batch = ex.evaluate_plans(&wfs, &plans).unwrap();
-        assert_eq!(batch.len(), plans.len());
-        for (plan, report) in plans.iter().zip(&batch) {
-            let single = ex.evaluate_plan(&wfs, plan).unwrap();
-            assert_eq!(report, &single);
-        }
-        assert!(ex.evaluate_plans(&wfs, &[]).unwrap().is_empty());
     }
 
     #[test]

@@ -41,17 +41,6 @@ impl InterferenceReport {
     pub fn is_compatible(&self) -> bool {
         self.kinds.is_empty()
     }
-
-    /// Whether the group violates the hard memory-capacity constraint.
-    pub fn violates_memory(&self) -> bool {
-        self.kinds.contains(&InterferenceKind::MemoryCapacity)
-    }
-
-    /// Compute headroom left before the 100 % SM threshold (negative when
-    /// exceeded) — used by the greedy planner to pick the next candidate.
-    pub fn sm_headroom(&self) -> f64 {
-        100.0 - self.sm_sum
-    }
 }
 
 /// Predicts interference for a candidate group of workflows.
@@ -130,7 +119,6 @@ mod tests {
         let r = predict(&dev(), &[&a, &b]);
         assert!(r.is_compatible());
         assert_eq!(r.sm_sum, 70.0);
-        assert_eq!(r.sm_headroom(), 30.0);
     }
 
     #[test]
@@ -139,7 +127,6 @@ mod tests {
         let r = predict(&dev(), &[&a, &b]);
         assert_eq!(r.kinds, vec![InterferenceKind::Compute]);
         assert!(!r.is_compatible());
-        assert!(!r.violates_memory());
     }
 
     #[test]
@@ -155,7 +142,6 @@ mod tests {
         let (a, b) = (profile(30.0, 5.0, 60), profile(30.0, 5.0, 60));
         let r = predict(&dev(), &[&a, &b]);
         assert_eq!(r.kinds, vec![InterferenceKind::MemoryCapacity]);
-        assert!(r.violates_memory());
     }
 
     #[test]

@@ -106,7 +106,6 @@ fn lpt_order(
     device: &DeviceSpec,
     plan: &SchedulePlan,
     profiles: &[WorkflowProfile],
-    sharing_overhead: f64,
 ) -> Result<Vec<(f64, usize)>> {
     Planner::validate_profiles(profiles)?;
     let mut estimated = plan
@@ -126,7 +125,7 @@ fn lpt_order(
                     })
                 })
                 .collect::<Result<Vec<&WorkflowProfile>>>()?;
-            let e = estimate_group(device, &members, sharing_overhead);
+            let e = estimate_group(device, &members);
             Ok((e.makespan.value(), idx))
         })
         .collect::<Result<Vec<(f64, usize)>>>()?;
@@ -168,10 +167,9 @@ pub fn distribute_plan(
     devices: &[DeviceSpec],
     plan: &SchedulePlan,
     profiles: &[WorkflowProfile],
-    sharing_overhead: f64,
 ) -> Result<NodePlan> {
     let speeds = node_speeds(reference, devices)?;
-    let estimated = lpt_order(reference, plan, profiles, sharing_overhead)?;
+    let estimated = lpt_order(reference, plan, profiles)?;
     let mut loads = vec![0.0f64; devices.len()];
     let mut per_gpu: Vec<SchedulePlan> = vec![SchedulePlan { groups: Vec::new() }; devices.len()];
     for (makespan, idx) in estimated {
@@ -218,8 +216,8 @@ pub struct NodeExecutor {
 }
 
 impl NodeExecutor {
-    /// `base` supplies overheads and the calibration device (its `device`
-    /// field); `devices` are the node's actual GPUs.
+    /// `base` supplies the calibration device (its `device` field);
+    /// `devices` are the node's actual GPUs.
     pub fn new(base: ExecutorConfig, devices: Vec<DeviceSpec>) -> Result<Self> {
         let speeds = node_speeds(&base.device, &devices)?;
         let executors = devices
@@ -228,7 +226,6 @@ impl NodeExecutor {
                 Executor::new(ExecutorConfig {
                     device,
                     calibration_device: Some(base.device.clone()),
-                    ..base.clone()
                 })
             })
             .collect();
@@ -392,7 +389,7 @@ mod tests {
         let plan = Planner::new(d.clone(), MetricPriority::Throughput)
             .plan(&profiles, PlannerStrategy::Greedy)
             .unwrap();
-        let node = distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0).unwrap();
+        let node = distribute_plan(&d, &gpus(2), &plan, &profiles).unwrap();
         node.validate(&gpus(2), &profiles).unwrap();
         assert_eq!(node.per_gpu.len(), 2);
         assert_eq!(node.workflow_count(), q.len());
@@ -411,11 +408,11 @@ mod tests {
         let config = ExecutorConfig::new(d.clone());
 
         let one = NodeExecutor::new(config.clone(), gpus(1)).unwrap();
-        let node1 = distribute_plan(&d, &gpus(1), &plan, &profiles, 0.0).unwrap();
+        let node1 = distribute_plan(&d, &gpus(1), &plan, &profiles).unwrap();
         let r1 = one.run_plan(&q, &node1).unwrap();
 
         let two = NodeExecutor::new(config, gpus(2)).unwrap();
-        let node2 = distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0).unwrap();
+        let node2 = distribute_plan(&d, &gpus(2), &plan, &profiles).unwrap();
         let r2 = two.run_plan(&q, &node2).unwrap();
 
         assert_eq!(r1.tasks, r2.tasks);
@@ -441,7 +438,7 @@ mod tests {
             .unwrap();
         let config = ExecutorConfig::new(d.clone());
         let run = |n: usize| {
-            let node = distribute_plan(&d, &gpus(n), &plan, &profiles, 0.0).unwrap();
+            let node = distribute_plan(&d, &gpus(n), &plan, &profiles).unwrap();
             NodeExecutor::new(config.clone(), gpus(n))
                 .unwrap()
                 .run_plan(&q, &node)
@@ -462,7 +459,7 @@ mod tests {
         let plan = Planner::new(d.clone(), MetricPriority::balanced_product())
             .plan(&profiles, PlannerStrategy::Auto)
             .unwrap();
-        let node = distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0).unwrap();
+        let node = distribute_plan(&d, &gpus(2), &plan, &profiles).unwrap();
         let exec = NodeExecutor::new(ExecutorConfig::new(d), gpus(2)).unwrap();
         let metrics = exec.evaluate(&q, &profiles, &node).unwrap();
         assert!(
@@ -480,7 +477,7 @@ mod tests {
         let plan = Planner::new(d.clone(), MetricPriority::Throughput)
             .plan(&profiles, PlannerStrategy::Greedy)
             .unwrap();
-        let node = distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0).unwrap();
+        let node = distribute_plan(&d, &gpus(2), &plan, &profiles).unwrap();
 
         // Duplicate a group onto the other GPU.
         let mut bad = node.clone();
@@ -509,7 +506,7 @@ mod tests {
         // The A100X is the faster device for A100X-calibrated work.
         assert!(relative_throughput(&amd, &a100) < 1.0);
         let devices = vec![a100.clone(), amd];
-        let node = distribute_plan(&a100, &devices, &plan, &profiles, 0.0).unwrap();
+        let node = distribute_plan(&a100, &devices, &plan, &profiles).unwrap();
         node.validate(&devices, &profiles).unwrap();
         assert_eq!(node.per_gpu.len(), 2);
 
@@ -527,7 +524,7 @@ mod tests {
         let d = device();
         assert!(NodeExecutor::new(ExecutorConfig::new(d.clone()), vec![]).is_err());
         let empty = SchedulePlan { groups: vec![] };
-        assert!(distribute_plan(&d, &[], &empty, &[], 0.0).is_err());
+        assert!(distribute_plan(&d, &[], &empty, &[]).is_err());
         let exec = NodeExecutor::new(ExecutorConfig::new(d), gpus(2)).unwrap();
         let plan = NodePlan {
             per_gpu: vec![empty],
@@ -582,10 +579,7 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
             let profiles = vec![synthetic_profile(10.0, 1), synthetic_profile(bad, 1)];
             let plan = solo_plan(&[0, 1]);
-            assert_invalid_naming(
-                distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0),
-                "duration",
-            );
+            assert_invalid_naming(distribute_plan(&d, &gpus(2), &plan, &profiles), "duration");
             assert_invalid_naming(exec.run_sequential(workflows, &profiles), "duration");
         }
     }
@@ -596,7 +590,7 @@ mod tests {
         let profiles = vec![synthetic_profile(10.0, 1)];
         let plan = solo_plan(&[0, 3]);
         assert_invalid_naming(
-            distribute_plan(&d, &gpus(2), &plan, &profiles, 0.0),
+            distribute_plan(&d, &gpus(2), &plan, &profiles),
             "workflow_indices",
         );
     }
@@ -625,14 +619,14 @@ mod tests {
         plan.validate(&a100, &profiles).unwrap();
 
         assert_invalid_naming(
-            distribute_plan(&a100, &[gcd.clone(), gcd.clone()], &plan, &profiles, 0.0),
+            distribute_plan(&a100, &[gcd.clone(), gcd.clone()], &plan, &profiles),
             "group 0",
         );
 
         // LPT places the long solo group first, on the faster A100X; the
         // idle GCD would then finish the pair sooner, but cannot hold it.
         let devices = vec![a100.clone(), gcd.clone()];
-        let node = distribute_plan(&a100, &devices, &plan, &profiles, 0.0).unwrap();
+        let node = distribute_plan(&a100, &devices, &plan, &profiles).unwrap();
         assert_eq!(node.per_gpu[0].groups, vec![long, pair]);
         assert!(node.per_gpu[1].groups.is_empty());
         node.validate(&devices, &profiles).unwrap();

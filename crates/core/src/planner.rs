@@ -134,7 +134,6 @@ pub struct Planner {
     device: DeviceSpec,
     priority: MetricPriority,
     partition_strategy: PartitionStrategy,
-    sharing_overhead: f64,
 }
 
 impl Planner {
@@ -143,17 +142,11 @@ impl Planner {
             device,
             priority,
             partition_strategy: PartitionStrategy::default_saturation_aware(),
-            sharing_overhead: 0.0,
         }
     }
 
     pub fn with_partition_strategy(mut self, s: PartitionStrategy) -> Self {
         self.partition_strategy = s;
-        self
-    }
-
-    pub fn with_sharing_overhead(mut self, o: f64) -> Self {
-        self.sharing_overhead = o;
         self
     }
 
@@ -302,7 +295,7 @@ impl Planner {
         let seq = Self::sequential_baseline(profiles);
         let caps = self.priority.candidate_caps(&self.device);
         let scored = mpshare_par::par_map(&caps, |&cap| {
-            let plan = self.bestfit_with_cap_memo(profiles, cap, memo);
+            let plan = self.bestfit_capped(profiles, cap, memo);
             let score = self.score_groups(&plan, profiles, &seq, memo);
             (score, plan)
         });
@@ -332,11 +325,7 @@ impl Planner {
     /// its solo duration minus the predicted growth of the group's
     /// makespan — is largest and positive. Only the hard constraints
     /// (memory, client cap) gate admission.
-    pub fn bestfit_with_cap(&self, profiles: &[WorkflowProfile], cap: usize) -> SchedulePlan {
-        self.bestfit_with_cap_memo(profiles, cap, &EstimateMemo::new())
-    }
-
-    fn bestfit_with_cap_memo(
+    fn bestfit_capped(
         &self,
         profiles: &[WorkflowProfile],
         cap: usize,
@@ -357,17 +346,15 @@ impl Planner {
         });
         // A candidate's saving never exceeds its solo duration: the
         // estimator's makespan is append-monotone (float included) when
-        // demands, durations, and the sharing overhead are non-negative,
-        // so the growth term subtracted from the duration is ≥ 0. Under
+        // demands and durations are non-negative, so the growth term subtracted from the duration is ≥ 0. Under
         // that precondition the duration-descending candidate order admits
         // an early break once the incumbent saving reaches the next
         // candidate's duration.
-        let saving_bound_ok = self.sharing_overhead >= 0.0
-            && profiles.iter().all(|p| {
-                p.duration.value() >= 0.0
-                    && p.avg_sm_util.value() >= 0.0
-                    && p.avg_bw_util.value() >= 0.0
-            });
+        let saving_bound_ok = profiles.iter().all(|p| {
+            p.duration.value() >= 0.0
+                && p.avg_sm_util.value() >= 0.0
+                && p.avg_bw_util.value() >= 0.0
+        });
 
         let mut assigned = vec![false; profiles.len()];
         let mut groups = Vec::new();
@@ -491,7 +478,7 @@ impl Planner {
     pub fn greedy_with_cap(&self, profiles: &[WorkflowProfile], cap: usize) -> SchedulePlan {
         // Criterion 1: lowest compute utilization first.
         let mut order: Vec<usize> = (0..profiles.len()).collect();
-        // See the duration sort in `bestfit_with_cap_memo`: NaN is
+        // See the duration sort in `bestfit_capped`: NaN is
         // rejected upstream, and incomparable pairs fall back to index
         // order rather than panicking.
         order.sort_by(|&a, &b| {
@@ -670,8 +657,7 @@ impl Planner {
         let seq_energy = seq.energy.joules();
         let idle = self.device.idle_power;
         // Every comparison is written positively so NaN anywhere fails it.
-        let preconditions_ok = self.sharing_overhead >= 0.0
-            && seq_makespan > 0.0
+        let preconditions_ok = seq_makespan > 0.0
             && seq_makespan.is_finite()
             && seq_energy > 0.0
             && seq_energy.is_finite()
@@ -742,7 +728,7 @@ impl Planner {
         for g in &plan.groups {
             let members: Vec<&WorkflowProfile> =
                 g.workflow_indices.iter().map(|&i| &profiles[i]).collect();
-            let e = estimate_group(&self.device, &members, self.sharing_overhead);
+            let e = estimate_group(&self.device, &members);
             makespan += e.makespan.value();
             energy += e.energy.joules();
         }
@@ -778,7 +764,7 @@ impl Planner {
     ) -> GroupEstimate {
         memo.get_or_compute(GroupKey::new(members), || {
             let refs: Vec<&WorkflowProfile> = members.iter().map(|&i| &profiles[i]).collect();
-            estimate_group(&self.device, &refs, self.sharing_overhead)
+            estimate_group(&self.device, &refs)
         })
     }
 
@@ -846,7 +832,7 @@ fn enumerate_prefixes(
 ///
 /// * `r_total` — `Σᵢ durᵢ·smᵢ/100` over the whole queue, deflated by
 ///   `1 − 1e-9`. Any group's makespan is at least `max_dur · Σ_g sm/100 ≥
-///   Σ_{i∈g} durᵢ·smᵢ/100` (contention floors at `Σsm/100`, overhead at 1),
+///   Σ_{i∈g} durᵢ·smᵢ/100` (contention floors at `Σsm/100`),
 ///   so the queue-wide sum floors every partition's makespan total. The
 ///   deflation swamps the ≤ ~1e-14 relative drift from re-associating the
 ///   float sums, keeping the floor admissible bit for bit.

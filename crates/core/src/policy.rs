@@ -40,17 +40,6 @@ impl MetricPriority {
         }
     }
 
-    /// Maximum clients per collocation group under this priority.
-    pub fn cardinality_cap(&self, device: &DeviceSpec) -> usize {
-        match self {
-            MetricPriority::Throughput => 2,
-            MetricPriority::Energy => device.max_mps_clients,
-            // The product planner explores caps itself; this is its upper
-            // bound.
-            MetricPriority::Product { .. } => device.max_mps_clients,
-        }
-    }
-
     /// Candidate caps the product planner sweeps.
     pub fn candidate_caps(&self, device: &DeviceSpec) -> Vec<usize> {
         match self {
@@ -92,12 +81,12 @@ mod tests {
 
     #[test]
     fn throughput_caps_at_two() {
-        assert_eq!(MetricPriority::Throughput.cardinality_cap(&dev()), 2);
+        assert_eq!(MetricPriority::Throughput.candidate_caps(&dev()), vec![2]);
     }
 
     #[test]
     fn energy_caps_at_client_limit() {
-        assert_eq!(MetricPriority::Energy.cardinality_cap(&dev()), 48);
+        assert_eq!(MetricPriority::Energy.candidate_caps(&dev()), vec![48]);
     }
 
     #[test]

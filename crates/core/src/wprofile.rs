@@ -54,11 +54,6 @@ impl WorkflowProfile {
     pub fn burst_sm_util(&self) -> f64 {
         (self.avg_sm_util.value() / 100.0 / self.busy_fraction.max(1e-9)).min(1.0)
     }
-
-    /// Bandwidth utilization while kernels run.
-    pub fn burst_bw_util(&self) -> f64 {
-        (self.avg_bw_util.value() / 100.0 / self.busy_fraction.max(1e-9)).min(1.0)
-    }
 }
 
 /// Builds the workflow profile from the store (which must already contain

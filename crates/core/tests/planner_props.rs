@@ -210,8 +210,8 @@ proptest! {
         let d = device();
         let all: Vec<&WorkflowProfile> = profiles.iter().collect();
         let sub: Vec<&WorkflowProfile> = profiles[..profiles.len() - 1].iter().collect();
-        let with = estimate_group(&d, &all, 0.01);
-        let without = estimate_group(&d, &sub, 0.01);
+        let with = estimate_group(&d, &all);
+        let without = estimate_group(&d, &sub);
         prop_assert!(with.makespan.value() >= without.makespan.value() - 1e-9);
         prop_assert!(
             with.energy.joules()

@@ -247,21 +247,12 @@ fn check_engine(sc: &EngineScenario) -> Result<OracleReport> {
     // Completion-order canonicalization: the `(at, client, task)` key is
     // total over distinct records, so the canonical sequence must be a
     // pure function of the records — independent of how the per-client
-    // lists were assembled and of whether the precomputed index or the
-    // merge-and-sort fallback produced it. Equal-time ties across clients
-    // are exactly where an underspecified key would leak insertion order.
+    // lists were assembled. Equal-time ties across clients are exactly
+    // where an underspecified key would leak insertion order.
     let completion_seq = |r: &RunResult| -> String {
         serde_json::to_string(&r.completions()).expect("completions serialize")
     };
     let reference_seq = completion_seq(&result);
-    let mut fallback = result.clone();
-    fallback.completion_order.clear();
-    if completion_seq(&fallback) != reference_seq {
-        violations.push(Violation::new(
-            "order",
-            "unindexed completions() fallback diverged from the precomputed index".to_string(),
-        ));
-    }
     for seed in 0..8u64 {
         let mut shuffled = result.clone();
         for (ci, client) in shuffled.clients.iter_mut().enumerate() {
@@ -273,7 +264,6 @@ fn check_engine(sc: &EngineScenario) -> Result<OracleReport> {
                 client.completions.swap(i, j.min(i));
             }
         }
-        shuffled.index_completions();
         if completion_seq(&shuffled) != reference_seq {
             violations.push(Violation::new(
                 "order",

@@ -145,11 +145,6 @@ impl DeviceSpec {
         }
     }
 
-    /// Total resident-warp capacity of the device.
-    pub fn total_warp_slots(&self) -> u64 {
-        self.num_sms as u64 * self.max_warps_per_sm as u64
-    }
-
     /// Validates internal consistency; returns the spec on success so this
     /// can be chained in builders.
     pub fn validated(self) -> Result<Self> {
@@ -236,7 +231,6 @@ mod tests {
         let d = DeviceSpec::a100x().validated().unwrap();
         assert_eq!(d.num_sms, 108);
         assert_eq!(d.max_warps_per_sm, 64);
-        assert_eq!(d.total_warp_slots(), 108 * 64);
         assert_eq!(d.memory_capacity, MemBytes::from_gib(80));
         assert_eq!(d.power_cap.watts(), 300.0);
         assert_eq!(d.max_mps_clients, 48);
@@ -251,7 +245,7 @@ mod tests {
     fn amd_preset_is_valid_and_wavefront_sized() {
         let d = DeviceSpec::mi250x_gcd().validated().unwrap();
         assert_eq!(d.warp_size, 64);
-        assert_eq!(d.total_warp_slots(), 110 * 32);
+        assert_eq!((d.num_sms, d.max_warps_per_sm), (110, 32));
         assert!(d.memory_capacity < DeviceSpec::a100x().memory_capacity);
     }
 

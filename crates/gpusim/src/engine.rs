@@ -210,17 +210,6 @@ pub struct RunResult {
     pub wasted_energy: Energy,
     /// Discrete-event log; empty unless `EngineConfig::record_events`.
     pub events: EventLog,
-    /// Time-sorted `(client, completion)` index pairs, precomputed once at
-    /// the end of [`Engine::run`] so [`RunResult::completions`] does not
-    /// merge and re-sort on every call. Never serialized (the per-client
-    /// lists are authoritative); rebuilt lazily when absent, e.g. after
-    /// deserialization or literal construction.
-    #[serde(default, skip_serializing_if = "completion_order_skip")]
-    pub completion_order: Vec<(usize, usize)>,
-}
-
-fn completion_order_skip(_order: &[(usize, usize)]) -> bool {
-    true
 }
 
 impl RunResult {
@@ -257,22 +246,9 @@ impl RunResult {
         (c.at, c.client, c.task)
     }
 
-    /// All task completions across clients, in canonical
-    /// `(at, client, task)` order.
-    ///
-    /// Uses the precomputed [`RunResult::completion_order`] when it is
-    /// consistent with the client lists; otherwise falls back to merging
-    /// and sorting in place (both paths sort by the same canonical key, so
-    /// they produce identical sequences).
+    /// All task completions across clients, merged and sorted into
+    /// canonical `(at, client, task)` order.
     pub fn completions(&self) -> Vec<&TaskCompletion> {
-        let total: usize = self.clients.iter().map(|c| c.completions.len()).sum();
-        if self.completion_order.len() == total && total > 0 {
-            return self
-                .completion_order
-                .iter()
-                .map(|&(c, k)| &self.clients[c].completions[k])
-                .collect();
-        }
         let mut all: Vec<&TaskCompletion> = self
             .clients
             .iter()
@@ -284,24 +260,6 @@ impl RunResult {
                 .expect("finite times")
         });
         all
-    }
-
-    /// (Re)builds [`RunResult::completion_order`] from the per-client
-    /// completion lists, in canonical `(at, client, task)` order. Called at
-    /// the end of [`Engine::run`] and after multi-instance merges.
-    pub fn index_completions(&mut self) {
-        let mut order: Vec<(usize, usize)> = self
-            .clients
-            .iter()
-            .enumerate()
-            .flat_map(|(c, out)| (0..out.completions.len()).map(move |k| (c, k)))
-            .collect();
-        order.sort_by(|&(ca, ka), &(cb, kb)| {
-            let a = Self::completion_key(&self.clients[ca].completions[ka]);
-            let b = Self::completion_key(&self.clients[cb].completions[kb]);
-            a.partial_cmp(&b).expect("finite times")
-        });
-        self.completion_order = order;
     }
 }
 
@@ -967,7 +925,7 @@ impl Engine {
         let wasted_progress = Seconds::new(clients.iter().map(|c| c.wasted_progress.value()).sum());
         let wasted_energy =
             Energy::from_joules(clients.iter().map(|c| c.wasted_energy.joules()).sum());
-        let mut result = RunResult {
+        let result = RunResult {
             telemetry: std::mem::take(&mut self.telemetry),
             clients,
             makespan,
@@ -978,9 +936,7 @@ impl Engine {
             wasted_progress,
             wasted_energy,
             events: std::mem::replace(&mut self.log, EventLog::with_capacity(0)),
-            completion_order: Vec::new(),
         };
-        result.index_completions();
         let stats = EngineStats {
             events: self.events,
             rate_solves: self.rate_solves,
@@ -2472,26 +2428,6 @@ mod tests {
         );
     }
 
-    /// The precomputed completion index must yield exactly the merge-sort
-    /// fallback order (including ties, which both paths break by client
-    /// order thanks to the stable sort).
-    #[test]
-    fn completion_index_matches_sort_fallback() {
-        let programs: Vec<ClientProgram> = (0..6)
-            .map(|id| {
-                // Identical durations force completion-time ties.
-                one_task_client("tie", id, vec![kernel(1.0, 0.05, 0.01, 0.1)])
-            })
-            .collect();
-        let r = run(SharingMode::mps_uniform(6), programs);
-        assert_eq!(r.completion_order.len(), r.tasks_completed);
-        let fast: Vec<TaskCompletion> = r.completions().into_iter().cloned().collect();
-        let mut fallback = r.clone();
-        fallback.completion_order.clear();
-        let slow: Vec<TaskCompletion> = fallback.completions().into_iter().cloned().collect();
-        assert_eq!(fast, slow);
-    }
-
     /// Regression for the at-only completion sort: the canonical key is the
     /// full `(at, client, task)` triple. With `at` alone, equal-time records
     /// kept whatever flatten order the clients vec happened to have — which
@@ -2519,21 +2455,15 @@ mod tests {
         // stable sort would return flatten order: clients 1,1,0,0.
         r.clients[0].completions = vec![tc(7, 1, 2.0), tc(3, 1, 2.0)];
         r.clients[1].completions = vec![tc(5, 0, 2.0), tc(1, 0, 2.0)];
-        r.completion_order.clear();
-
-        let expect = vec![(2.0, 0, 1), (2.0, 0, 5), (2.0, 1, 3), (2.0, 1, 7)];
-        let observed = |r: &RunResult| -> Vec<(f64, usize, u64)> {
-            r.completions()
-                .iter()
-                .map(|c| (c.at.value(), c.client, c.task.raw()))
-                .collect()
-        };
-        // Merge-and-sort fallback path (completion_order empty).
-        assert_eq!(observed(&r), expect);
-        // Precomputed index path must agree record for record.
-        r.index_completions();
-        assert_eq!(r.completion_order.len(), 4);
-        assert_eq!(observed(&r), expect);
+        let observed: Vec<(f64, usize, u64)> = r
+            .completions()
+            .iter()
+            .map(|c| (c.at.value(), c.client, c.task.raw()))
+            .collect();
+        assert_eq!(
+            observed,
+            vec![(2.0, 0, 1), (2.0, 0, 5), (2.0, 1, 3), (2.0, 1, 7)]
+        );
     }
 
     /// The time-slice solve cache is per kernel: every kernel start drops

@@ -53,16 +53,6 @@ impl LaunchConfig {
         self.issue_efficiency = eff;
         self
     }
-
-    pub fn with_regs(mut self, regs_per_thread: u32) -> Self {
-        self.regs_per_thread = regs_per_thread;
-        self
-    }
-
-    pub fn with_shared_mem(mut self, bytes: u64) -> Self {
-        self.shared_mem_per_block = bytes;
-        self
-    }
 }
 
 /// Full execution specification of one kernel.

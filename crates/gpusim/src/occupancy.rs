@@ -16,21 +16,6 @@ use crate::kernel::LaunchConfig;
 use mpshare_types::Percent;
 use serde::{Deserialize, Serialize};
 
-/// Which per-SM resource bounds the number of resident blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OccupancyLimiter {
-    /// Hardware cap on resident blocks per SM.
-    BlocksPerSm,
-    /// Warp-slot (or, equivalently, thread) capacity.
-    Warps,
-    /// Register-file capacity.
-    Registers,
-    /// Shared-memory capacity.
-    SharedMemory,
-    /// The grid is too small to fill even one SM's block slots.
-    GridSize,
-}
-
 /// Per-SM residency limits for one launch configuration on one device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OccupancyLimits {
@@ -51,21 +36,6 @@ impl OccupancyLimits {
             .min(self.by_warps)
             .min(self.by_registers)
             .min(self.by_shared_mem)
-    }
-
-    /// Which resource is binding (ties broken in the order the hardware
-    /// documentation lists them: blocks, warps, registers, shared memory).
-    pub fn limiter(&self) -> OccupancyLimiter {
-        let min = self.blocks_per_sm();
-        if self.by_blocks == min {
-            OccupancyLimiter::BlocksPerSm
-        } else if self.by_warps == min {
-            OccupancyLimiter::Warps
-        } else if self.by_registers == min {
-            OccupancyLimiter::Registers
-        } else {
-            OccupancyLimiter::SharedMemory
-        }
     }
 }
 
@@ -216,7 +186,6 @@ mod tests {
         let d = DeviceSpec::a100x();
         let r = report(&d, &launch(100_000, 32, 255, 0));
         assert_eq!(r.limits.by_registers, 8);
-        assert_eq!(r.limits.limiter(), OccupancyLimiter::Registers);
         assert_eq!(r.blocks_per_sm, 8);
         assert_eq!(r.theoretical, Percent::new(12.5));
     }
@@ -228,7 +197,6 @@ mod tests {
         let r = report(&d, &launch(100_000, 128, 32, 48 * 1024));
         assert_eq!(r.limits.by_shared_mem, 3);
         assert_eq!(r.blocks_per_sm, 3);
-        assert_eq!(r.limits.limiter(), OccupancyLimiter::SharedMemory);
         // 3 blocks * 4 warps = 12 / 64 warps.
         assert_eq!(r.theoretical, Percent::new(12.0 / 64.0 * 100.0));
     }
@@ -240,7 +208,6 @@ mod tests {
         let d = DeviceSpec::a100x();
         let r = report(&d, &launch(100_000, 32, 16, 0));
         assert_eq!(r.blocks_per_sm, 32);
-        assert_eq!(r.limits.limiter(), OccupancyLimiter::BlocksPerSm);
         assert_eq!(r.theoretical, Percent::new(50.0));
     }
 

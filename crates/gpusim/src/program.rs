@@ -115,11 +115,6 @@ impl ClientProgram {
         }
     }
 
-    pub fn with_arrival(mut self, arrival: Seconds) -> Self {
-        self.arrival = arrival;
-        self
-    }
-
     pub fn push_task(&mut self, task: TaskProgram) -> &mut Self {
         self.tasks.push(task);
         self

@@ -150,16 +150,6 @@ impl Telemetry {
         }
     }
 
-    /// Exact SM-utilization time integral `Σ sm_util·dt` in
-    /// utilization-seconds (the numerator of `avg_sm_util`, undivided —
-    /// summable across runs for fleet-style roll-ups).
-    pub fn utilization_integral(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| s.sm_util * s.duration().value())
-            .sum()
-    }
-
     /// Stranded-capacity integral: `Σ (1 − sm_util)·dt` — the
     /// SM-seconds the device left on the table over this run. Exact,
     /// since `sm_util ≤ 1` within every segment.
@@ -229,14 +219,12 @@ mod tests {
     #[test]
     fn utilization_and_stranded_integrals_are_exact_complements() {
         let t = sample_telemetry();
-        // 0.5*2 + 1.0*1 + 0*2 = 2.0 utilization-seconds.
-        assert!((t.utilization_integral() - 2.0).abs() < 1e-12);
-        // Stranded complements it over the covered time.
+        // 0.5*2 + 1.0*1 + 0*2 = 2.0 utilization-seconds; stranded
+        // complements it over the covered time.
+        let utilized = t.avg_sm_util().value() / 100.0 * t.total_time().value();
+        assert!((utilized - 2.0).abs() < 1e-12);
         assert!((t.stranded_sm_seconds() - 3.0).abs() < 1e-12);
-        assert!(
-            (t.utilization_integral() + t.stranded_sm_seconds() - t.total_time().value()).abs()
-                < 1e-12
-        );
+        assert!((utilized + t.stranded_sm_seconds() - t.total_time().value()).abs() < 1e-12);
     }
 
     #[test]

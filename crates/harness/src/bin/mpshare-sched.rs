@@ -217,7 +217,7 @@ fn run(args: Args) -> Result<(), String> {
     } else {
         let devices = vec![device.clone(); args.gpus];
         let node =
-            distribute_plan(&device, &devices, &plan, &profiles, 0.0).map_err(|e| e.to_string())?;
+            distribute_plan(&device, &devices, &plan, &profiles).map_err(|e| e.to_string())?;
         let exec = NodeExecutor::new(config.clone(), devices).map_err(|e| e.to_string())?;
         let metrics = exec
             .evaluate(&spec.workflows, &profiles, &node)

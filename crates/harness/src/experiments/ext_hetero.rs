@@ -66,7 +66,7 @@ pub fn rows(reference: &DeviceSpec) -> Result<Vec<Row>> {
     shapes
         .into_iter()
         .map(|(name, devices)| {
-            let node = distribute_plan(reference, &devices, &plan, &profiles, 0.0)?;
+            let node = distribute_plan(reference, &devices, &plan, &profiles)?;
             let exec = NodeExecutor::new(ExecutorConfig::new(reference.clone()), devices.clone())?;
             let outcome = exec.run_plan(&q, &node)?;
             let speed: f64 = devices

@@ -57,7 +57,7 @@ pub fn points(device: &DeviceSpec) -> Result<Vec<Point>> {
         .iter()
         .map(|&gpus| {
             let devices = vec![device.clone(); gpus];
-            let node_plan = distribute_plan(device, &devices, &plan, &profiles, 0.0)?;
+            let node_plan = distribute_plan(device, &devices, &plan, &profiles)?;
             let exec = NodeExecutor::new(ExecutorConfig::new(device.clone()), devices)?;
             let shared = exec.run_plan(&q, &node_plan)?;
             let metrics = exec.evaluate(&q, &profiles, &node_plan)?;

@@ -118,7 +118,6 @@ mod tests {
             tasks_completed: 0,
             tasks_failed: 0,
             events: mpshare_gpusim::EventLog::default(),
-            completion_order: vec![],
             failures: vec![],
             wasted_progress: mpshare_types::Seconds::ZERO,
             wasted_energy: mpshare_types::Energy::ZERO,

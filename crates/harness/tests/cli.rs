@@ -1,19 +1,25 @@
 //! The `mpshare-sched` command line, run as a subprocess: its error paths,
-//! the multi-GPU node path and the per-group trace export.
+//! the multi-GPU node path, the per-group trace export and the persistent
+//! profile store.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-fn example_queue() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../configs/example_queue.json")
-}
-
-fn sched(args: &[&str]) -> Output {
+/// Runs `mpshare-sched` on `configs/<queue>`.
+fn sched_queue(queue: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mpshare-sched"))
-        .arg(example_queue())
+        .arg(
+            Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../../configs")
+                .join(queue),
+        )
         .args(args)
         .output()
         .expect("mpshare-sched runs")
+}
+
+fn sched(args: &[&str]) -> Output {
+    sched_queue("example_queue.json", args)
 }
 
 #[test]
@@ -63,4 +69,35 @@ fn trace_prefix_writes_one_chrome_trace_per_group() {
         assert!(!events.is_empty(), "{} has no trace events", path.display());
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn custom_queue_reloads_its_profile_store_and_prints_identical_json() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-store");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("profiles.json");
+    let run = || {
+        let out = sched_queue(
+            "custom_queue.json",
+            &["--json", "--store", store.to_str().unwrap()],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+        (out.stdout, stderr)
+    };
+
+    let (first, stderr) = run();
+    assert!(stderr.contains("saved profile cache"), "stderr: {stderr}");
+    assert!(store.exists());
+    let (second, stderr) = run();
+    assert!(
+        stderr.contains("loaded 3 cached profiles"),
+        "stderr: {stderr}"
+    );
+    assert!(stderr.contains("profiled 0 distinct"), "stderr: {stderr}");
+    assert_eq!(
+        String::from_utf8(first).unwrap(),
+        String::from_utf8(second).unwrap()
+    );
 }

@@ -121,23 +121,6 @@ impl MigLayout {
     pub fn unused_slices(&self) -> u32 {
         self.unused_slices
     }
-
-    /// Reconfigures the layout. MIG requires the GPU to be idle: callers
-    /// pass whether any instance currently has resident work.
-    pub fn reconfigure(
-        &mut self,
-        parent: &DeviceSpec,
-        profiles: &[MigProfile],
-        gpu_busy: bool,
-    ) -> Result<()> {
-        if gpu_busy {
-            return Err(Error::InvalidState(
-                "MIG reconfiguration requires an idle GPU".into(),
-            ));
-        }
-        *self = MigLayout::new(parent, profiles)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -176,19 +159,6 @@ mod tests {
         assert!(d3.num_sms < d4.num_sms);
         assert!(d3.num_sms >= 108 * 3 / 7 - 1);
         assert!(d3.memory_bandwidth_bytes_per_sec < d4.memory_bandwidth_bytes_per_sec);
-    }
-
-    #[test]
-    fn reconfigure_requires_idle_gpu() {
-        let d = dev();
-        let mut l = MigLayout::new(&d, &[MigProfile::SevenSlice]).unwrap();
-        let err = l
-            .reconfigure(&d, &[MigProfile::OneSlice; 7], true)
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidState(_)));
-        l.reconfigure(&d, &[MigProfile::OneSlice; 7], false)
-            .unwrap();
-        assert_eq!(l.instances().len(), 7);
     }
 
     #[test]

@@ -551,7 +551,7 @@ impl GpuRunner {
                 .sum(),
         );
 
-        let mut result = RunResult {
+        Ok(RunResult {
             telemetry,
             clients,
             makespan,
@@ -562,10 +562,7 @@ impl GpuRunner {
             wasted_progress,
             wasted_energy,
             events,
-            completion_order: Vec::new(),
-        };
-        result.index_completions();
-        Ok(result)
+        })
     }
 }
 
@@ -845,11 +842,6 @@ mod tests {
         // stable sort would have kept flatten order.
         assert_eq!(completions[0].label, "b");
         assert_eq!(completions[1].label, "a");
-        // The precomputed index and the merge-sort fallback agree.
-        let mut fallback = r.clone();
-        fallback.completion_order.clear();
-        let slow: Vec<_> = fallback.completions().into_iter().cloned().collect();
-        assert_eq!(completions, slow);
     }
 
     #[test]

@@ -43,12 +43,6 @@ impl TimeSliceConfig {
         })
     }
 
-    /// Fraction of each quantum lost to context switching — the efficiency
-    /// ceiling of time-sliced sharing.
-    pub fn overhead_fraction(&self) -> f64 {
-        self.switch_overhead.value() / (self.quantum.value() + self.switch_overhead.value())
-    }
-
     /// Converts to the engine's sharing mode.
     pub fn to_sharing_mode(self) -> SharingMode {
         SharingMode::TimeSliced {
@@ -73,7 +67,7 @@ mod tests {
         let c = TimeSliceConfig::driver_default();
         assert!(c.quantum.value() > 0.0);
         assert!(c.switch_overhead < c.quantum);
-        assert!(c.overhead_fraction() < 0.1);
+        assert!(c.switch_overhead.value() < 0.1 * c.quantum.value());
     }
 
     #[test]
@@ -97,11 +91,5 @@ mod tests {
             }
             other => panic!("wrong mode: {other:?}"),
         }
-    }
-
-    #[test]
-    fn overhead_fraction_formula() {
-        let c = TimeSliceConfig::new(Seconds::from_millis(9.0), Seconds::from_millis(1.0)).unwrap();
-        assert!((c.overhead_fraction() - 0.1).abs() < 1e-12);
     }
 }

@@ -134,37 +134,6 @@ impl AttributionReport {
             ("clients".to_string(), Value::Array(clients)),
         ])
     }
-
-    /// Plain-text table (one row per client).
-    pub fn render_table(&self) -> String {
-        let mut out = String::from(
-            "client  label                     slowdown  excess_s  sm_part  contention  throttle  mem_wait  residual\n",
-        );
-        for c in &self.clients {
-            out.push_str(&format!(
-                "{:<6}  {:<24}  {:>8.4}  {:>8.4}  {:>7.4}  {:>10.4}  {:>8.4}  {:>8.4}  {:>8.1e}{}\n",
-                c.client,
-                truncate(&c.label, 24),
-                c.slowdown,
-                c.excess,
-                c.sm_partition,
-                c.bandwidth_contention,
-                c.power_throttle,
-                c.memory_wait,
-                c.residual,
-                if c.exact { "" } else { "  (inexact: aborted)" },
-            ));
-        }
-        out
-    }
-}
-
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        s.chars().take(n).collect()
-    }
 }
 
 /// One contiguous residency of a kernel on the GPU (aborted clients'
@@ -623,7 +592,7 @@ mod tests {
     }
 
     #[test]
-    fn report_serializes_and_renders() {
+    fn report_serializes_to_json() {
         let programs = vec![
             program(
                 "a",
@@ -645,8 +614,5 @@ mod tests {
         let parsed: Value = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed.get("clients").unwrap().as_array().unwrap().len(), 2);
         assert!(json.contains("bandwidth_contention_s"));
-        let table = report.render_table();
-        assert!(table.contains("slowdown"));
-        assert_eq!(table.lines().count(), 3, "header + one row per client");
     }
 }

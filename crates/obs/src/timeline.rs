@@ -5,7 +5,7 @@
 //! "how much, in total"; this layer answers the time-resolved questions
 //! the paper's interference argument (§IV) is built on — what did
 //! utilization look like *over time*, what is the exact p99/p999
-//! turnaround, how much capacity was stranded. Three building blocks:
+//! turnaround, how much capacity was stranded. Two building blocks:
 //!
 //! * [`TimeSeries`] — values sampled against **simulated** time (the same
 //!   no-wall-clocks discipline as the recorder). Samples carry an explicit
@@ -14,8 +14,8 @@
 //!   time-weighted means and utilization CDFs are then *exact* sums, never
 //!   sampling approximations. Point samples (`dur == 0`) are supported for
 //!   instantaneous observations such as queue depth.
-//! * [`WindowedAggregator`] — fixed-window roll-ups (count/mean/min/max/
-//!   sum) over a series, for dashboard-style downsampling.
+//!   [`TimeSeries::rollup`] folds a series into fixed-window
+//!   count/mean/min/max/sum stats, for dashboard-style downsampling.
 //! * [`QuantileTrack`] — *exact* quantiles: every observation is kept and
 //!   sorted-merge-consolidated on demand, so `p50/p90/p99/p999` are true
 //!   order statistics, bit-identical to a naive sort of the same
@@ -82,16 +82,6 @@ pub mod series {
     pub fn client(label: &str, metric: &str) -> String {
         format!("client.{label}.{metric}")
     }
-}
-
-/// Interpolation mode for [`TimeSeries::value_at`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interp {
-    /// The value of the last sample starting at or before `t`.
-    Step,
-    /// Linear interpolation between the starts of the two samples
-    /// bracketing `t` (clamped to the first/last value outside the span).
-    Linear,
 }
 
 /// One sample: a value `v` holding from `t` for `dur` simulated seconds
@@ -232,30 +222,6 @@ impl TimeSeries {
         }
     }
 
-    /// The series value at time `t` under the given interpolation, or
-    /// `None` for an empty series or `t` before the first sample.
-    pub fn value_at(&mut self, t: f64, interp: Interp) -> Option<f64> {
-        self.finalize();
-        if self.samples.is_empty() || t < self.samples[0].t {
-            return None;
-        }
-        // Last sample with start <= t.
-        let idx = self.samples.partition_point(|s| s.t <= t) - 1;
-        match interp {
-            Interp::Step => Some(self.samples[idx].v),
-            Interp::Linear => {
-                let a = self.samples[idx];
-                match self.samples.get(idx + 1) {
-                    Some(b) if b.t > a.t => {
-                        let frac = (t - a.t) / (b.t - a.t);
-                        Some(a.v + (b.v - a.v) * frac)
-                    }
-                    _ => Some(a.v),
-                }
-            }
-        }
-    }
-
     /// Fixed-window roll-ups: one [`WindowStat`] per `window`-second
     /// bucket (keyed by the sample *start*), in time order. Windows with
     /// no samples are omitted. Deterministic: folded over the canonical
@@ -356,47 +322,6 @@ impl WindowStat {
         self.max = self.max.max(s.v);
         self.sum += s.v;
         self.mean = self.sum / self.count as f64;
-    }
-}
-
-/// A [`TimeSeries`] paired with a fixed roll-up window: observe values
-/// against simulated time, read back windowed aggregates.
-#[derive(Debug, Clone)]
-pub struct WindowedAggregator {
-    window: f64,
-    series: TimeSeries,
-}
-
-impl WindowedAggregator {
-    pub fn new(window: f64) -> Self {
-        assert!(
-            window.is_finite() && window > 0.0,
-            "aggregation window must be positive"
-        );
-        WindowedAggregator {
-            window,
-            series: TimeSeries::new(),
-        }
-    }
-
-    pub fn observe(&mut self, t: f64, v: f64) {
-        self.series.push(t, v);
-    }
-
-    pub fn observe_span(&mut self, t: f64, dur: f64, v: f64) {
-        self.series.push_span(t, dur, v);
-    }
-
-    pub fn window(&self) -> f64 {
-        self.window
-    }
-
-    pub fn series(&mut self) -> &mut TimeSeries {
-        &mut self.series
-    }
-
-    pub fn windows(&mut self) -> Vec<WindowStat> {
-        self.series.rollup(self.window)
     }
 }
 
@@ -821,26 +746,12 @@ mod tests {
     }
 
     #[test]
-    fn value_at_step_and_linear() {
-        let mut s = TimeSeries::new();
-        s.push(0.0, 1.0);
-        s.push(10.0, 3.0);
-        assert_eq!(s.value_at(-1.0, Interp::Step), None);
-        assert_eq!(s.value_at(0.0, Interp::Step), Some(1.0));
-        assert_eq!(s.value_at(9.9, Interp::Step), Some(1.0));
-        assert_eq!(s.value_at(10.0, Interp::Step), Some(3.0));
-        assert_eq!(s.value_at(11.0, Interp::Step), Some(3.0));
-        assert_eq!(s.value_at(5.0, Interp::Linear), Some(2.0));
-        assert_eq!(s.value_at(11.0, Interp::Linear), Some(3.0));
-    }
-
-    #[test]
     fn rollups_fold_per_window() {
-        let mut agg = WindowedAggregator::new(10.0);
-        agg.observe(1.0, 2.0);
-        agg.observe(2.0, 4.0);
-        agg.observe(15.0, 10.0);
-        let windows = agg.windows();
+        let mut s = TimeSeries::new();
+        s.push(1.0, 2.0);
+        s.push(2.0, 4.0);
+        s.push(15.0, 10.0);
+        let windows = s.rollup(10.0);
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0].start, 0.0);
         assert_eq!(windows[0].count, 2);

@@ -134,6 +134,7 @@ pub fn global() -> &'static ProfileCache {
 mod tests {
     use super::*;
     use mpshare_types::{Energy, Fraction, MemBytes, Percent, Power, Seconds};
+    use mpshare_workloads::SyntheticSpec;
 
     fn dev() -> DeviceSpec {
         DeviceSpec::a100x()
@@ -160,7 +161,7 @@ mod tests {
     #[test]
     fn computes_each_key_exactly_once() {
         let cache = ProfileCache::new();
-        let key = ProfileKey::custom("memo-test");
+        let key = ProfileKey::custom("memo-test", &SyntheticSpec::light());
         let mut calls = 0;
         for _ in 0..3 {
             let p = cache
@@ -180,7 +181,7 @@ mod tests {
     #[test]
     fn distinct_devices_do_not_share_entries() {
         let cache = ProfileCache::new();
-        let key = ProfileKey::custom("device-split");
+        let key = ProfileKey::custom("device-split", &SyntheticSpec::light());
         let mut other = dev();
         other.num_sms /= 2;
         cache
@@ -196,7 +197,7 @@ mod tests {
     #[test]
     fn errors_are_not_cached() {
         let cache = ProfileCache::new();
-        let key = ProfileKey::custom("transient-error");
+        let key = ProfileKey::custom("transient-error", &SyntheticSpec::light());
         let err: Result<TaskProfile> = cache.get_or_compute(&dev(), &key, || {
             Err(mpshare_types::Error::InvalidState("boom".into()))
         });
@@ -208,7 +209,7 @@ mod tests {
     #[test]
     fn concurrent_callers_share_one_computation() {
         let cache = ProfileCache::new();
-        let key = ProfileKey::custom("concurrent");
+        let key = ProfileKey::custom("concurrent", &SyntheticSpec::light());
         let computations = AtomicU64::new(0);
         let lanes: Vec<u32> = (0..16).collect();
         let profiles = mpshare_par::par_map(&lanes, |_| {

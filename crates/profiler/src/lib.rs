@@ -11,13 +11,10 @@
 //!   telemetry into a [`TaskProfile`] — one row of the paper's Table II,
 //!   plus the occupancy columns of Table I;
 //! * [`store`] is the profile database the scheduler consults, keyed by
-//!   benchmark and problem size;
+//!   benchmark and problem size, or by a custom workload's name and spec;
 //! * [`cache`] memoizes simulated profiles process-wide (sharded and
 //!   thread-shareable), so each `(benchmark, size, device)` tuple is
-//!   simulated exactly once no matter how many stores exist;
-//! * [`scaling`] infers profiles at unmeasured problem sizes from two
-//!   measured ones ("scaling is well-understood for a vast majority of HPC
-//!   codes").
+//!   simulated exactly once no matter how many stores exist.
 //!
 //! Run timelines export as Chrome-tracing JSON through
 //! `mpshare_obs::perfetto::chrome_trace` — the Nsight-Systems-style view
@@ -26,11 +23,9 @@
 pub mod cache;
 pub mod collector;
 pub mod profile;
-pub mod scaling;
 pub mod store;
 
 pub use cache::ProfileCache;
 pub use collector::{profile_program, profile_task};
 pub use profile::{OccupancyProfile, TaskProfile};
-pub use scaling::infer_profile;
 pub use store::{ProfileKey, ProfileStore};

@@ -62,12 +62,6 @@ impl TaskProfile {
     pub fn idle_time(&self) -> Seconds {
         self.duration * (1.0 - self.busy_fraction)
     }
-
-    /// Whether this profile counts as "low utilization" under a threshold
-    /// on SM utilization — the paper's primary collocation discriminator.
-    pub fn is_low_utilization(&self, threshold: Percent) -> bool {
-        self.avg_sm_util <= threshold
-    }
 }
 
 #[cfg(test)]
@@ -107,12 +101,6 @@ mod tests {
             theoretical: Percent::ZERO,
         };
         assert_eq!(zero.achieved_ratio(), 0.0);
-    }
-
-    #[test]
-    fn low_utilization_threshold() {
-        assert!(profile(30.0).is_low_utilization(Percent::new(50.0)));
-        assert!(!profile(60.0).is_low_utilization(Percent::new(50.0)));
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! The profile store: the scheduler's database of offline profiles.
 //!
 //! Keyed by benchmark kind and problem size (quantized to hundredths so the
-//! float factor is hashable). The store is populated by running the
-//! collector once per distinct (benchmark, size) pair — the paper's offline
-//! profiling pass — and optionally extended with inferred profiles for
-//! unmeasured sizes.
+//! float factor is hashable), or by a custom workload's name and spec. The
+//! store is populated by running the collector once per distinct key — the
+//! paper's offline profiling pass.
 
 use crate::collector::profile_task;
 use crate::profile::TaskProfile;
 use mpshare_gpusim::DeviceSpec;
 use mpshare_types::{Error, Result, TaskId};
 use mpshare_workloads::{
-    benchmark, build_task, BenchmarkKind, ProblemSize, TaskSource, WorkflowSpec,
+    benchmark, build_task, BenchmarkKind, ProblemSize, SyntheticSpec, TaskSource, WorkflowSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -24,7 +23,10 @@ pub enum ProfileKey {
         kind: BenchmarkKind,
         size_centis: u32,
     },
-    Custom(String),
+    /// A custom workload, keyed by its name *and* its spec's canonical
+    /// JSON: two different specs under one name are different workloads
+    /// and must not share a profile.
+    Custom { name: String, spec: String },
 }
 
 impl ProfileKey {
@@ -35,26 +37,19 @@ impl ProfileKey {
         }
     }
 
-    /// Key for a named custom workload.
-    pub fn custom(name: impl Into<String>) -> Self {
-        ProfileKey::Custom(name.into())
+    /// Key for a named custom workload with the given spec.
+    pub fn custom(name: impl Into<String>, spec: &SyntheticSpec) -> Self {
+        ProfileKey::Custom {
+            name: name.into(),
+            spec: serde_json::to_string(spec).expect("synthetic specs serialize"),
+        }
     }
 
     /// Key for a task source.
     pub fn for_source(source: &TaskSource) -> Self {
         match source {
             TaskSource::Benchmark { kind, size } => ProfileKey::new(*kind, *size),
-            TaskSource::Custom { name, .. } => ProfileKey::custom(name.clone()),
-        }
-    }
-
-    /// The benchmark problem size, for benchmark keys.
-    pub fn size(&self) -> Option<ProblemSize> {
-        match self {
-            ProfileKey::Benchmark { size_centis, .. } => {
-                Some(ProblemSize::new(*size_centis as f64 / 100.0))
-            }
-            ProfileKey::Custom(_) => None,
+            TaskSource::Custom { name, spec } => ProfileKey::custom(name.clone(), spec),
         }
     }
 }
@@ -62,7 +57,10 @@ impl ProfileKey {
 /// Offline profile database.
 ///
 /// Serializes as a list of `(key, profile)` entries (JSON object keys must
-/// be strings, and the key is a struct).
+/// be strings, and the key is a struct). Loading drops entries whose key
+/// is not a [`ProfileKey`] — such as a custom workload keyed by its name
+/// alone, which older stores wrote — so they are profiled afresh instead
+/// of matched against a spec they may not describe.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(into = "StoreOnDisk", from = "StoreOnDisk")]
 pub struct ProfileStore {
@@ -72,13 +70,17 @@ pub struct ProfileStore {
 /// Serialization surrogate for [`ProfileStore`].
 #[derive(Serialize, Deserialize)]
 struct StoreOnDisk {
-    profiles: Vec<(ProfileKey, TaskProfile)>,
+    profiles: Vec<(serde_json::Value, TaskProfile)>,
 }
 
 impl From<ProfileStore> for StoreOnDisk {
     fn from(store: ProfileStore) -> Self {
         StoreOnDisk {
-            profiles: store.profiles.into_iter().collect(),
+            profiles: store
+                .profiles
+                .into_iter()
+                .map(|(key, profile)| (serde_json::to_value(&key), profile))
+                .collect(),
         }
     }
 }
@@ -86,7 +88,11 @@ impl From<ProfileStore> for StoreOnDisk {
 impl From<StoreOnDisk> for ProfileStore {
     fn from(disk: StoreOnDisk) -> Self {
         ProfileStore {
-            profiles: disk.profiles.into_iter().collect(),
+            profiles: disk
+                .profiles
+                .into_iter()
+                .filter_map(|(key, profile)| Some((serde_json::from_value(&key).ok()?, profile)))
+                .collect(),
         }
     }
 }
@@ -218,7 +224,6 @@ mod tests {
         let a = ProfileKey::new(BenchmarkKind::Kripke, ProblemSize::new(2.0));
         let b = ProfileKey::new(BenchmarkKind::Kripke, ProblemSize::new(2.001));
         assert_eq!(a, b);
-        assert_eq!(a.size().unwrap().factor(), 2.0);
         let c = ProfileKey::new(BenchmarkKind::Kripke, ProblemSize::new(2.5));
         assert_ne!(a, c);
     }

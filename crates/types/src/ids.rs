@@ -86,18 +86,6 @@ impl IdAllocator {
     pub fn next_task(&mut self) -> TaskId {
         TaskId::new(self.next_raw())
     }
-
-    pub fn next_workflow(&mut self) -> WorkflowId {
-        WorkflowId::new(self.next_raw())
-    }
-
-    pub fn next_client(&mut self) -> ClientId {
-        ClientId::new(self.next_raw())
-    }
-
-    pub fn next_kernel(&mut self) -> KernelId {
-        KernelId::new(self.next_raw())
-    }
 }
 
 #[cfg(test)]
@@ -129,11 +117,11 @@ mod tests {
         let mut alloc = IdAllocator::new();
         let a = alloc.next_task();
         let b = alloc.next_task();
-        let c = alloc.next_workflow();
+        let c = alloc.next_raw();
         assert_ne!(a, b);
         assert_eq!(a.raw(), 0);
         assert_eq!(b.raw(), 1);
-        assert_eq!(c.raw(), 2);
+        assert_eq!(c, 2);
     }
 
     #[test]

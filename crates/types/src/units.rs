@@ -283,10 +283,6 @@ pub struct MemBytes(u64);
 impl MemBytes {
     pub const ZERO: MemBytes = MemBytes(0);
 
-    pub fn from_bytes(bytes: u64) -> Self {
-        MemBytes(bytes)
-    }
-
     pub fn from_mib(mib: u64) -> Self {
         MemBytes(mib * 1024 * 1024)
     }
@@ -587,7 +583,7 @@ mod tests {
 
     #[test]
     fn membytes_scale_rounds() {
-        let m = MemBytes::from_bytes(10);
+        let m = MemBytes(10);
         assert_eq!(m.scale(1.26).bytes(), 13);
         assert_eq!(m.scale(0.0), MemBytes::ZERO);
     }

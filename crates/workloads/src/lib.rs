@@ -23,7 +23,7 @@
 //! simulator's contention model.
 //!
 //! [`workflow`] builds multi-task workflows and the paper's Table III
-//! combinations; [`synthetic`] generates parameterized artificial
+//! combinations; [`synthetic`] describes parameterized artificial
 //! workloads for property tests and ablations.
 
 pub mod benchmarks;
@@ -40,5 +40,5 @@ pub use calibration::{fit_power_model, PowerFit};
 pub use catalog::{all_benchmarks, benchmark, Benchmark};
 pub use generator::QueueGenerator;
 pub use spec::{AnchorProfile, BenchmarkKind, OccupancyTargets, ProblemSize};
-pub use synthetic::{SyntheticSpec, SyntheticWorkloadGen};
+pub use synthetic::SyntheticSpec;
 pub use workflow::{table3_combinations, Combination, TaskSource, WorkflowSpec, WorkflowTask};

@@ -1,14 +1,11 @@
-//! Synthetic workload generation.
+//! Synthetic workloads.
 //!
-//! Property tests and ablation benches need workloads whose parameters
-//! sweep ranges the seven real benchmarks do not cover. A
-//! [`SyntheticSpec`] describes a workload analytically; the generator
-//! produces randomized-but-seeded specs for fuzzing the scheduler.
+//! Property tests, ablation benches and user-defined queue entries need
+//! workloads whose parameters sweep ranges the seven real benchmarks do
+//! not cover. A [`SyntheticSpec`] describes a workload analytically.
 
 use mpshare_gpusim::{ClientProgram, DeviceSpec, KernelSpec, LaunchConfig, TaskProgram};
 use mpshare_types::{Fraction, MemBytes, Result, Seconds, TaskId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// An analytic workload description.
@@ -149,40 +146,6 @@ impl SyntheticSpec {
     }
 }
 
-/// Seeded random generator of synthetic specs.
-#[derive(Debug)]
-pub struct SyntheticWorkloadGen {
-    rng: StdRng,
-}
-
-impl SyntheticWorkloadGen {
-    pub fn new(seed: u64) -> Self {
-        SyntheticWorkloadGen {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Draws a spec with every parameter in a realistic range.
-    pub fn sample(&mut self) -> SyntheticSpec {
-        let rng = &mut self.rng;
-        SyntheticSpec {
-            sm_demand: rng.random_range(0.02..=1.0),
-            bw_demand: rng.random_range(0.0..=0.6),
-            duty_cycle: rng.random_range(0.2..=1.0),
-            duration: rng.random_range(1.0..=60.0),
-            memory_mib: rng.random_range(64..=16_384),
-            kernels: rng.random_range(4..=64),
-            cache_sensitivity: rng.random_range(0.0..=1.5),
-            client_sensitivity: rng.random_range(0.0..=0.2),
-        }
-    }
-
-    /// Draws `n` specs.
-    pub fn sample_n(&mut self, n: usize) -> Vec<SyntheticSpec> {
-        (0..n).map(|_| self.sample()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,25 +174,6 @@ mod tests {
         let t = spec.to_task(&dev(), TaskId::new(0)).unwrap();
         let duty = t.solo_busy_time().value() / t.solo_wall_time().value();
         assert!((duty - spec.duty_cycle).abs() < 0.02, "duty {duty}");
-    }
-
-    #[test]
-    fn generator_is_deterministic_per_seed() {
-        let a = SyntheticWorkloadGen::new(42).sample_n(5);
-        let b = SyntheticWorkloadGen::new(42).sample_n(5);
-        assert_eq!(a, b);
-        let c = SyntheticWorkloadGen::new(43).sample_n(5);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn sampled_specs_are_in_range_and_buildable() {
-        let mut generator = SyntheticWorkloadGen::new(7);
-        for spec in generator.sample_n(50) {
-            assert!(spec.sm_demand > 0.0 && spec.sm_demand <= 1.0);
-            assert!(spec.duty_cycle > 0.0 && spec.duty_cycle <= 1.0);
-            spec.to_task(&dev(), TaskId::new(0)).unwrap();
-        }
     }
 
     #[test]

@@ -235,18 +235,6 @@ pub struct Combination {
 }
 
 impl Combination {
-    /// Materializes all workflows as client programs.
-    pub fn to_client_programs(
-        &self,
-        device: &DeviceSpec,
-        ids: &mut IdAllocator,
-    ) -> Result<Vec<ClientProgram>> {
-        self.workflows
-            .iter()
-            .map(|w| w.to_client_program(device, ids))
-            .collect()
-    }
-
     /// Total tasks across all workflows.
     pub fn task_count(&self) -> usize {
         self.workflows.iter().map(|w| w.task_count()).sum()
@@ -417,16 +405,5 @@ mod tests {
         assert_eq!(p.task_count(), 3);
         assert_eq!(p.tasks[0].label, "my-cfd-solver");
         assert!(p.tasks[2].label.contains("Kripke"));
-    }
-
-    #[test]
-    fn combination_programs_have_one_client_per_workflow() {
-        let device = DeviceSpec::a100x();
-        let mut ids = IdAllocator::new();
-        let combo = &table3_combinations()[0];
-        let programs = combo.to_client_programs(&device, &mut ids).unwrap();
-        assert_eq!(programs.len(), 2);
-        assert_eq!(programs[0].task_count(), 5);
-        assert_eq!(programs[1].task_count(), 3);
     }
 }

@@ -7,8 +7,10 @@ use mpshare::core::{
     workflow_profile, Executor, ExecutorConfig, MetricPriority, Planner, PlannerStrategy,
 };
 use mpshare::gpusim::DeviceSpec;
-use mpshare::profiler::ProfileStore;
-use mpshare::workloads::{BenchmarkKind, ProblemSize, SyntheticSpec, WorkflowSpec, WorkflowTask};
+use mpshare::profiler::{ProfileKey, ProfileStore};
+use mpshare::workloads::{
+    BenchmarkKind, ProblemSize, SyntheticSpec, TaskSource, WorkflowSpec, WorkflowTask,
+};
 
 fn device() -> DeviceSpec {
     DeviceSpec::a100x()
@@ -80,6 +82,93 @@ fn custom_profiles_are_cached_by_name() {
     let mut store = ProfileStore::new();
     let runs = store.profile_workflows(&d, &queue).unwrap();
     assert_eq!(runs, 2, "duplicate names deduplicate");
+}
+
+/// Asserts that `store` holds `task`'s own profile: the SM average and
+/// solo duration its spec declares, not another spec's.
+fn assert_profile_matches_spec(store: &ProfileStore, task: &WorkflowTask, sm: f64, duration: f64) {
+    let profile = store.get_source(&task.source).unwrap();
+    assert!(
+        (profile.avg_sm_util.value() - sm).abs() < 2.0,
+        "avg SM {} (expected ~{sm})",
+        profile.avg_sm_util
+    );
+    assert!(
+        (profile.duration.value() - duration).abs() / duration < 0.05,
+        "duration {} (expected ~{duration} s)",
+        profile.duration
+    );
+}
+
+#[test]
+fn custom_workloads_sharing_a_name_keep_their_own_profiles() {
+    let d = device();
+    let first = custom("clash", 0.10, 0.3, 30.0);
+    let second = custom("clash", 0.90, 0.95, 50.0);
+
+    // Across two stores: the process-wide profile cache sits behind both.
+    let mut store_a = ProfileStore::new();
+    store_a
+        .profile_workflows(&d, &[WorkflowSpec::new(vec![first.clone()])])
+        .unwrap();
+    assert_profile_matches_spec(&store_a, &first, 3.0, 30.0);
+    let mut store_b = ProfileStore::new();
+    store_b
+        .profile_workflows(&d, &[WorkflowSpec::new(vec![second.clone()])])
+        .unwrap();
+    assert_profile_matches_spec(&store_b, &second, 85.5, 50.0);
+
+    // Within one queue: both specs are profiled, each under its own key.
+    let mut store = ProfileStore::new();
+    let queue = vec![
+        WorkflowSpec::new(vec![first.clone()]),
+        WorkflowSpec::new(vec![second.clone()]),
+    ];
+    assert_eq!(store.profile_workflows(&d, &queue).unwrap(), 2);
+    assert_profile_matches_spec(&store, &first, 3.0, 30.0);
+    assert_profile_matches_spec(&store, &second, 85.5, 50.0);
+}
+
+#[test]
+fn stores_keyed_by_custom_name_alone_never_answer_for_another_spec() {
+    let d = device();
+    let old = custom("legacy", 0.10, 0.3, 30.0);
+    let new = custom("legacy", 0.90, 0.95, 50.0);
+    let mut store = ProfileStore::new();
+    let queue = vec![
+        WorkflowSpec::uniform(BenchmarkKind::Kripke, ProblemSize::X1, 1),
+        WorkflowSpec::new(vec![old]),
+    ];
+    store.profile_workflows(&d, &queue).unwrap();
+
+    // The same entries in the shape older stores saved, where a custom
+    // workload was keyed by its name alone: `{"Custom": "legacy"}`.
+    let entry = |key: String, source: &TaskSource| {
+        let profile = serde_json::to_string(store.get_source(source).unwrap()).unwrap();
+        format!("[{key}, {profile}]")
+    };
+    let benchmark_key =
+        serde_json::to_string(&ProfileKey::new(BenchmarkKind::Kripke, ProblemSize::X1)).unwrap();
+    let legacy = format!(
+        "{{\"profiles\": [{}, {}]}}",
+        entry(benchmark_key, &queue[0].entries[0].source),
+        entry(
+            "{\"Custom\": \"legacy\"}".to_string(),
+            &queue[1].entries[0].source
+        ),
+    );
+    let path = std::env::temp_dir().join(format!("mpshare-legacy-{}.json", std::process::id()));
+    std::fs::write(&path, legacy).unwrap();
+    let mut loaded = ProfileStore::load(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    // The benchmark entry survives; the name-only entry answers nothing.
+    assert_eq!(loaded.len(), 1);
+    assert!(loaded.contains(BenchmarkKind::Kripke, ProblemSize::X1));
+    assert!(loaded.get_source(&new.source).is_err());
+    let queue = vec![WorkflowSpec::new(vec![new.clone()])];
+    assert_eq!(loaded.profile_workflows(&d, &queue).unwrap(), 1);
+    assert_profile_matches_spec(&loaded, &new, 85.5, 50.0);
 }
 
 #[test]

@@ -34,8 +34,8 @@ fn queue() -> Vec<WorkflowSpec> {
     ]
 }
 
-/// Runs the full pipeline — profile, plan (every strategy), anneal, batch
-/// evaluate — and returns everything it produced.
+/// Runs the full pipeline — profile, plan (every strategy), anneal,
+/// evaluate every plan — and returns everything it produced.
 fn pipeline() -> (Vec<SchedulePlan>, SchedulePlan, Vec<EvaluationReport>) {
     let d = device();
     let workflows = queue();
@@ -69,7 +69,10 @@ fn pipeline() -> (Vec<SchedulePlan>, SchedulePlan, Vec<EvaluationReport>) {
     );
 
     let executor = Executor::new(ExecutorConfig::new(device()));
-    let reports = executor.evaluate_plans(&workflows, &plans).unwrap();
+    let reports = plans
+        .iter()
+        .map(|plan| executor.evaluate_plan(&workflows, plan).unwrap())
+        .collect();
     (plans, annealed, reports)
 }
 
@@ -100,25 +103,4 @@ fn parallel_experiment_is_bit_identical_to_serial() {
     mpshare::par::set_serial(false);
 
     assert_eq!(parallel, serial);
-}
-
-#[test]
-fn batch_and_single_plan_evaluation_agree() {
-    let d = device();
-    let workflows = queue();
-    let mut store = ProfileStore::new();
-    store.profile_workflows(&d, &workflows).unwrap();
-    let profiles: Vec<_> = workflows
-        .iter()
-        .map(|w| workflow_profile(&store, w).unwrap())
-        .collect();
-    let planner = Planner::new(d, MetricPriority::Throughput);
-    let plan = planner.plan(&profiles, PlannerStrategy::Greedy).unwrap();
-
-    let executor = Executor::new(ExecutorConfig::new(device()));
-    let single = executor.evaluate_plan(&workflows, &plan).unwrap();
-    let batch = executor
-        .evaluate_plans(&workflows, std::slice::from_ref(&plan))
-        .unwrap();
-    assert_eq!(batch, vec![single]);
 }
