@@ -6,13 +6,13 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all fmt clippy doc alloc-gate bench bench-build bench-gate bench-ab fault-smoke trace-smoke fuzz-smoke clean
+.PHONY: check build test test-all fmt clippy doc alloc-gate bench bench-build bench-gate bench-ab fault-smoke trace-smoke fuzz-smoke golden golden-update clean
 
 # The full tier-1 gate: release build, every workspace crate's tests (the
 # root package's included), formatting, lints, warning-free API docs, the
-# allocation gate, the fault-, trace-, and fuzz smoke runs, the end-to-end
-# benchmark build, and the bench regression gate.
-check: build test-all fmt clippy doc alloc-gate fault-smoke trace-smoke fuzz-smoke bench-build bench-gate
+# allocation gate, the fault-, trace-, and fuzz smoke runs, the golden
+# outputs, the end-to-end benchmark build, and the bench regression gate.
+check: build test-all fmt clippy doc alloc-gate fault-smoke trace-smoke fuzz-smoke golden bench-build bench-gate
 
 # --workspace so member binaries (mpshare-repro, mpshare-sched,
 # mpshare-fuzz, bench_gate) exist for the smoke gates below even from a
@@ -170,20 +170,67 @@ trace-smoke: build
 	@rm -rf .trace-smoke
 	@echo "trace-determinism smoke gate passed"
 
-# Fuzz smoke gate: a fixed-seed 500-scenario campaign must be clean and
+# Fuzz smoke gate: a fixed-seed 500-scenario campaign must be clean,
 # byte-identical serial vs. parallel (the generator, oracle, and report
-# are pure functions of the seed block), and every pinned scenario in
-# configs/zoo/ — shrunk repros of past bugs plus mechanism coverage —
-# must replay with zero violations and its exact pinned digest.
+# are pure functions of the seed block) and byte-identical to the
+# committed report in results/golden/ (the golden gate's fuzz output), and
+# every pinned scenario in configs/zoo/ — shrunk repros of past bugs plus
+# mechanism coverage — must replay with zero violations and its exact
+# pinned digest.
 fuzz-smoke: build
 	@rm -rf .fuzz-smoke
 	@mkdir -p .fuzz-smoke
 	./target/release/mpshare-fuzz run --count 500 --base 0 --out .fuzz-smoke/par.txt
 	./target/release/mpshare-fuzz run --count 500 --base 0 --serial --out .fuzz-smoke/ser.txt
 	cmp .fuzz-smoke/par.txt .fuzz-smoke/ser.txt
+	cmp .fuzz-smoke/par.txt results/golden/$(GOLDEN_FUZZ)
 	./target/release/mpshare-fuzz zoo configs/zoo
 	@rm -rf .fuzz-smoke
 	@echo "fuzz smoke gate passed"
+
+# Golden-output gate: the committed outputs must be reproduced byte for
+# byte. `mpshare-repro all` (parallel and --serial) and `report --serial`
+# must rebuild every file in results/, and `mpshare-sched --json` on the example and custom queues at
+# 1, 2 and 4 GPUs must print results/golden/sched-*.json. The 500-seed
+# fuzz report is checked against results/golden/ by fuzz-smoke, so the
+# campaign runs once. Parallel `report` is left out: its float gauge sums
+# run in thread order (ROADMAP item 3(a)), so it is not yet bit-stable.
+GOLDEN := .golden
+GOLDEN_FUZZ := fuzz-500.txt
+GOLDEN_QUEUES := example custom
+GOLDEN_GPUS := 1 2 4
+golden: build fuzz-smoke
+	@rm -rf $(GOLDEN)
+	@mkdir -p $(GOLDEN)
+	./target/release/mpshare-repro all --out $(GOLDEN)/all >/dev/null
+	./target/release/mpshare-repro all --serial --out $(GOLDEN)/all-serial >/dev/null
+	./target/release/mpshare-repro report --serial --out $(GOLDEN)/report >/dev/null
+	cp $(GOLDEN)/report/report.* $(GOLDEN)/all/
+	cp $(GOLDEN)/report/report.* $(GOLDEN)/all-serial/
+	diff -r --exclude=golden results $(GOLDEN)/all
+	diff -r --exclude=golden results $(GOLDEN)/all-serial
+	@for q in $(GOLDEN_QUEUES); do for g in $(GOLDEN_GPUS); do \
+		out=sched-$$q-gpus$$g.json; \
+		./target/release/mpshare-sched configs/$${q}_queue.json --json --gpus $$g \
+			> $(GOLDEN)/$$out 2>/dev/null || exit 1; \
+		cmp $(GOLDEN)/$$out results/golden/$$out || exit 1; \
+	done; done
+	@rm -rf $(GOLDEN)
+	@echo "golden output gate passed"
+
+# Re-records every output the golden gate checks. A change that runs this
+# must list each changed file in CHANGES.md and explain every moved
+# headline number in EXPERIMENTS.md.
+golden-update: build
+	./target/release/mpshare-repro all --out results >/dev/null
+	./target/release/mpshare-repro report --serial --out results >/dev/null
+	@mkdir -p results/golden
+	@for q in $(GOLDEN_QUEUES); do for g in $(GOLDEN_GPUS); do \
+		./target/release/mpshare-sched configs/$${q}_queue.json --json --gpus $$g \
+			> results/golden/sched-$$q-gpus$$g.json 2>/dev/null || exit 1; \
+	done; done
+	./target/release/mpshare-fuzz run --count 500 --base 0 --out results/golden/$(GOLDEN_FUZZ) >/dev/null
+	@echo "golden outputs re-recorded; review 'git diff results/'"
 
 clean:
 	$(CARGO) clean

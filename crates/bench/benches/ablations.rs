@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpshare_bench::experiment_criterion;
 use mpshare_core::{
-    single_group_plan, workflow_profile, AnnealConfig, Executor, ExecutorConfig, MetricPriority,
+    single_group_plan, workflow_profile, Executor, ExecutorConfig, MetricPriority,
     PartitionStrategy, Planner, PlannerStrategy, WorkflowProfile,
 };
 use mpshare_gpusim::DeviceSpec;
@@ -149,27 +149,6 @@ fn bench(c: &mut Criterion) {
         );
         c.bench_function(&format!("ablation/planner_{name}"), |b| {
             b.iter(|| planner.plan(black_box(&profs), strategy).unwrap())
-        });
-    }
-
-    // --- annealed refinement -----------------------------------------------
-    {
-        let planner = Planner::new(device.clone(), MetricPriority::balanced_product());
-        let plan = planner
-            .plan_annealed(&profs, AnnealConfig::default())
-            .unwrap();
-        let report = executor.evaluate_plan(&q, &plan).unwrap();
-        report_once(
-            "planner: annealed (auto seed)",
-            report.metrics.throughput_gain,
-            report.metrics.energy_efficiency_gain,
-        );
-        c.bench_function("ablation/planner_annealed", |b| {
-            b.iter(|| {
-                planner
-                    .plan_annealed(black_box(&profs), AnnealConfig::default())
-                    .unwrap()
-            })
         });
     }
 

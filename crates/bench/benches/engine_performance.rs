@@ -2,17 +2,13 @@
 //! with client count, end-to-end engine event throughput (including a
 //! gap-heavy run that stresses the resident-set rate cache and a
 //! time-sliced run dominated by quantum rotations), exhaustive
-//! planning at n = 10, annealing on an online-arrival-style queue, and
-//! memoized vs from-scratch plan scoring.
+//! planning at n = 10, and memoized vs from-scratch plan scoring.
 //!
 //! `make bench` runs this with `MPSHARE_BENCH_JSON` set, committing the
 //! per-scenario medians to `BENCH_engine.json`.
 
 use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion, Throughput};
-use mpshare_core::{
-    anneal, workflow_profile, AnnealConfig, MetricPriority, Planner, PlannerStrategy,
-    WorkflowProfile,
-};
+use mpshare_core::{workflow_profile, MetricPriority, Planner, PlannerStrategy, WorkflowProfile};
 use mpshare_gpusim::{
     ClientProgram, ContentionSolver, DeviceSpec, Engine, EngineConfig, EngineScratch, KernelSpec,
     LaunchConfig, PreparedContender, SharingMode, SolveScratch, TaskProgram, ValidatedPrograms,
@@ -224,22 +220,6 @@ fn bench_plan_search(c: &mut Criterion) {
                     .plan(&profiles12bb, PlannerStrategy::Exhaustive)
                     .unwrap(),
             )
-        })
-    });
-
-    // Annealing on an online-arrival-sized queue (12 workflows, the
-    // harness's 3 bursts of 4), from a fixed Auto seed plan.
-    let profiles12 = profiled_queue(&device, 11, 12);
-    let seed_plan = planner.plan(&profiles12, PlannerStrategy::Auto).unwrap();
-    group.bench_function("anneal_ext_online", |b| {
-        b.iter(|| {
-            black_box(anneal(
-                &planner,
-                &device,
-                &profiles12,
-                &seed_plan,
-                AnnealConfig::default(),
-            ))
         })
     });
 

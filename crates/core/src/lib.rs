@@ -27,7 +27,6 @@
 //! [`baseline`] provides the comparison points: sequential scheduling,
 //! naive FIFO MPS packing, and time-sliced sharing.
 
-pub mod anneal;
 pub mod baseline;
 pub mod deps;
 pub mod estimate;
@@ -43,7 +42,6 @@ pub mod recommend;
 pub mod rightsize;
 pub mod wprofile;
 
-pub use anneal::{anneal, AnnealConfig};
 pub use baseline::{fifo_plan, single_group_plan};
 pub use deps::{plan_with_dependencies, validate_dependencies, Dependency};
 pub use estimate::{estimate_group, GroupEstimate};

@@ -1,13 +1,12 @@
 //! Subset-keyed memo for [`GroupEstimate`]s.
 //!
-//! Every planner strategy and the annealer bottom out in
+//! Every planner strategy bottoms out in
 //! [`crate::estimate::estimate_group`] over a member list, and the same
 //! lists recur exponentially often: the exhaustive search re-visits each
-//! subset once per partition containing it, the best-fit cap sweep re-tries
-//! the same trial groups for every cap, and annealing re-scores the
-//! untouched groups of every proposal. [`EstimateMemo`] caches one estimate
-//! per *ordered* member list so each is computed exactly once per planning
-//! call.
+//! subset once per partition containing it, and the best-fit cap sweep
+//! re-tries the same trial groups for every cap. [`EstimateMemo`] caches
+//! one estimate per *ordered* member list so each is computed exactly once
+//! per planning call.
 //!
 //! # Key scheme and bit-identity
 //!
@@ -18,7 +17,7 @@
 //! ascending order exists per set) and compress to a bitmask
 //! ([`GroupKey::Mask`]). The exhaustive planner's restricted-growth-string
 //! enumeration emits exactly such ascending lists, giving it the cheap
-//! `u64` key of the classic subset-DP formulation; greedy/best-fit/anneal
+//! `u64` key of the classic subset-DP formulation; greedy/best-fit
 //! lists in arbitrary order fall back to the hashed exact key. Either way
 //! a hit returns the value computed for the identical member order, so
 //! memoized scoring is bit-identical to scoring from scratch.

@@ -611,7 +611,7 @@ mod tests {
         }];
         let mut store = ProfileStore::new();
         store
-            .profile_once(&d, BenchmarkKind::Kripke, ProblemSize::X1)
+            .profile_workflows(&d, std::slice::from_ref(&late[0].spec))
             .unwrap();
         let online = scheduler().run(&late, &store).unwrap();
         assert_eq!(online.decisions[0].at, Seconds::new(100.0));

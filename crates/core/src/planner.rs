@@ -150,25 +150,8 @@ impl Planner {
         self
     }
 
-    pub fn priority(&self) -> MetricPriority {
-        self.priority
-    }
-
     pub fn partition_strategy(&self) -> PartitionStrategy {
         self.partition_strategy
-    }
-
-    /// Convenience: plan with `Auto`, then refine by simulated annealing
-    /// (see [`mod@crate::anneal`]). Never scores worse than the `Auto` plan.
-    pub fn plan_annealed(
-        &self,
-        profiles: &[WorkflowProfile],
-        config: crate::anneal::AnnealConfig,
-    ) -> Result<SchedulePlan> {
-        let seed = self.plan(profiles, PlannerStrategy::Auto)?;
-        let refined = crate::anneal::anneal(self, &self.device, profiles, &seed, config);
-        refined.validate(&self.device, profiles)?;
-        Ok(refined)
     }
 
     /// Plans with the configured strategy.
@@ -748,7 +731,7 @@ impl Planner {
     }
 
     /// The score's reference point: everything run sequentially.
-    pub(crate) fn sequential_baseline(profiles: &[WorkflowProfile]) -> GroupEstimate {
+    fn sequential_baseline(profiles: &[WorkflowProfile]) -> GroupEstimate {
         let all: Vec<&WorkflowProfile> = profiles.iter().collect();
         estimate_sequential(&all)
     }
@@ -756,7 +739,7 @@ impl Planner {
     /// Memoized estimate of one ordered member list. A hit returns the
     /// value computed by the identical `estimate_group` call, so this is
     /// interchangeable bit for bit with computing from scratch.
-    pub(crate) fn estimate_members(
+    fn estimate_members(
         &self,
         members: &[usize],
         profiles: &[WorkflowProfile],
@@ -770,7 +753,7 @@ impl Planner {
 
     /// Final score from summed per-group totals against the sequential
     /// baseline (the tail of [`Planner::score_plan`]).
-    pub(crate) fn score_totals(&self, seq: &GroupEstimate, makespan: f64, energy: f64) -> f64 {
+    fn score_totals(&self, seq: &GroupEstimate, makespan: f64, energy: f64) -> f64 {
         if makespan <= 0.0 || energy <= 0.0 {
             return 0.0;
         }

@@ -140,8 +140,8 @@ mod tests {
         ]);
         let store = store_for(std::slice::from_ref(&mixed));
         let p = workflow_profile(&store, &mixed).unwrap();
-        let athena = store.get(BenchmarkKind::AthenaPk, ProblemSize::X1).unwrap();
-        let lammps = store.get(BenchmarkKind::Lammps, ProblemSize::X4).unwrap();
+        let athena = store.get_source(&mixed.entries[0].source).unwrap();
+        let lammps = store.get_source(&mixed.entries[1].source).unwrap();
         // LAMMPS 4x is ~44x longer, so the average leans hard toward it.
         assert!(p.avg_sm_util > athena.avg_sm_util);
         assert!(p.avg_sm_util.value() > 0.9 * lammps.avg_sm_util.value());

@@ -3,8 +3,8 @@
 //! and hard constraints.
 
 use mpshare_core::{
-    estimate_group, AnnealConfig, EstimateMemo, MetricPriority, PartitionStrategy, Planner,
-    PlannerStrategy, WorkflowProfile,
+    estimate_group, EstimateMemo, MetricPriority, PartitionStrategy, Planner, PlannerStrategy,
+    WorkflowProfile,
 };
 use mpshare_gpusim::DeviceSpec;
 use mpshare_types::{Energy, Fraction, MemBytes, Percent, Power, Seconds};
@@ -122,23 +122,6 @@ proptest! {
             "exhaustive {exhaustive} < auto {auto}");
     }
 
-    /// Annealed plans are valid and never score below the Auto seed.
-    #[test]
-    fn annealed_plans_are_valid_and_dominant(
-        profiles in prop::collection::vec(profile_strategy(), 1..8),
-    ) {
-        let d = device();
-        let planner = Planner::new(d.clone(), MetricPriority::balanced_product());
-        let config = AnnealConfig { iterations: 300, ..AnnealConfig::default() };
-        let refined = planner.plan_annealed(&profiles, config).unwrap();
-        refined.validate(&d, &profiles).unwrap();
-        let auto = planner.plan(&profiles, PlannerStrategy::Auto).unwrap();
-        prop_assert!(
-            planner.score_plan(&refined, &profiles)
-                >= planner.score_plan(&auto, &profiles) - 1e-9
-        );
-    }
-
     /// Partition strategies: saturation-aware partitions always dominate
     /// demand-based ones (the floor can only raise them) and never exceed
     /// 100 %.
@@ -156,9 +139,7 @@ proptest! {
     }
 
     /// Memoized scoring is bit-identical to scoring from scratch — for
-    /// every strategy's plans, for annealed plans (whose internal
-    /// incremental scoring also self-checks against `score_plan` in
-    /// debug builds), and with one memo shared across all of them so
+    /// every strategy's plans, with one memo shared across all of them so
     /// both the miss and hit paths are exercised.
     #[test]
     fn memoized_scoring_matches_from_scratch(
@@ -188,11 +169,6 @@ proptest! {
                 let again = planner.score_plan_memo(&plan, &profiles, &memo);
                 prop_assert_eq!(again.to_bits(), scratch.to_bits());
             }
-            let config = AnnealConfig { iterations: 150, ..AnnealConfig::default() };
-            let refined = planner.plan_annealed(&profiles, config).unwrap();
-            let scratch = planner.score_plan(&refined, &profiles);
-            let memoized = planner.score_plan_memo(&refined, &profiles, &memo);
-            prop_assert_eq!(memoized.to_bits(), scratch.to_bits());
         }
         // Each plan was scored twice, so hits at least match misses.
         let stats = memo.stats();

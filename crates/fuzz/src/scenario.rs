@@ -11,7 +11,7 @@
 
 use mpshare_gpusim::unit_hash;
 use mpshare_types::{Error, Result};
-use mpshare_workloads::{BenchmarkKind, SyntheticSpec};
+use mpshare_workloads::{BenchmarkKind, ProblemSize, SyntheticSpec};
 use serde::{Deserialize, Serialize};
 
 /// One fuzz scenario: a seed (provenance), a human-readable name, an
@@ -321,9 +321,10 @@ impl OnlineScenario {
         }
         for (i, w) in self.workflows.iter().enumerate() {
             let ctx = format!("online.workflows[{i}]");
-            if !w.size.is_finite() || w.size < 1.0 {
+            if !ProblemSize::is_valid_factor(w.size) {
                 return Err(bad(format!(
-                    "{ctx}: size must be finite and ≥ 1, got {}",
+                    "{ctx}: size must be finite and in [1, {}], got {}",
+                    ProblemSize::MAX.factor(),
                     w.size
                 )));
             }

@@ -160,10 +160,6 @@ impl ContentionSolver {
         self
     }
 
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
     /// Precomputes a contender's invariant solve inputs on this solver's
     /// device (see [`PreparedContender`]).
     pub fn prepare(&self, kernel: &KernelSpec, partition: Fraction) -> PreparedContender {

@@ -213,17 +213,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Tasks completed per second over the makespan — the raw quantity
-    /// behind the paper's throughput metric. Under fault injection only
-    /// completed tasks count, so this is also the run's *goodput*.
-    pub fn throughput(&self) -> f64 {
-        if self.makespan == Seconds::ZERO {
-            0.0
-        } else {
-            self.tasks_completed as f64 / self.makespan.value()
-        }
-    }
-
     /// Fraction of all GPU progress that was wasted on aborted in-flight
     /// tasks (per-client `gpu_progress` includes the lost work, so this is
     /// `wasted / total`). Zero for a fault-free run.
@@ -2078,12 +2067,11 @@ mod tests {
     }
 
     #[test]
-    fn run_result_throughput_and_sorted_completions() {
+    fn run_result_sorted_completions() {
         let a = one_task_client("a", 0, vec![kernel(1.0, 0.2, 0.0, 0.0)]);
         let b = one_task_client("b", 1, vec![kernel(2.0, 0.2, 0.0, 0.0)]);
         let r = run(SharingMode::mps_uniform(2), vec![a, b]);
         assert_eq!(r.tasks_completed, 2);
-        assert!((r.throughput() - 2.0 / r.makespan.value()).abs() < 1e-12);
         let completions = r.completions();
         assert!(completions[0].at <= completions[1].at);
         assert_eq!(completions[0].label, "a");

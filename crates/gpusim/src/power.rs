@@ -47,10 +47,6 @@ impl PowerModel {
         }
     }
 
-    pub fn idle_power(&self) -> Power {
-        self.idle
-    }
-
     /// Resolves the power state given the total *uncapped* dynamic draw of
     /// all resident kernels (as computed by the contention solver at their
     /// nominal-clock rates) and the number of resident clients.

@@ -192,21 +192,12 @@ impl ValidatedPrograms {
         &self.device
     }
 
-    pub fn programs(&self) -> &[ClientProgram] {
-        &self.programs
-    }
-
     pub fn len(&self) -> usize {
         self.programs.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.programs.is_empty()
-    }
-
-    /// Unseals the roster (e.g. to mutate it before re-validating).
-    pub fn into_inner(self) -> Vec<ClientProgram> {
-        self.programs
     }
 
     pub(crate) fn into_parts(self) -> (DeviceSpec, Vec<ClientProgram>) {

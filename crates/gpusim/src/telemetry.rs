@@ -150,16 +150,6 @@ impl Telemetry {
         }
     }
 
-    /// Stranded-capacity integral: `Σ (1 − sm_util)·dt` — the
-    /// SM-seconds the device left on the table over this run. Exact,
-    /// since `sm_util ≤ 1` within every segment.
-    pub fn stranded_sm_seconds(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| (1.0 - s.sm_util).max(0.0) * s.duration().value())
-            .sum()
-    }
-
     fn time_weighted_avg(&self, f: impl Fn(&Segment) -> f64) -> Percent {
         let total = self.total_time();
         if total == Seconds::ZERO {
@@ -214,17 +204,6 @@ mod tests {
         assert!((t.avg_sm_util().value() - 40.0).abs() < 1e-9);
         // (0.2*2 + 0.8*1) / 5 = 0.24 -> 24%
         assert!((t.avg_bw_util().value() - 24.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_and_stranded_integrals_are_exact_complements() {
-        let t = sample_telemetry();
-        // 0.5*2 + 1.0*1 + 0*2 = 2.0 utilization-seconds; stranded
-        // complements it over the covered time.
-        let utilized = t.avg_sm_util().value() / 100.0 * t.total_time().value();
-        assert!((utilized - 2.0).abs() < 1e-12);
-        assert!((t.stranded_sm_seconds() - 3.0).abs() < 1e-12);
-        assert!((utilized + t.stranded_sm_seconds() - t.total_time().value()).abs() < 1e-12);
     }
 
     #[test]

@@ -34,14 +34,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }

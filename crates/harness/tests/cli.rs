@@ -5,17 +5,19 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// Runs `mpshare-sched` on `configs/<queue>`.
-fn sched_queue(queue: &str, args: &[&str]) -> Output {
+/// Runs `mpshare-sched` on the queue file at `path`.
+fn sched_path(path: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mpshare-sched"))
-        .arg(
-            Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../../configs")
-                .join(queue),
-        )
+        .arg(path)
         .args(args)
         .output()
         .expect("mpshare-sched runs")
+}
+
+/// Runs `mpshare-sched` on `configs/<queue>`.
+fn sched_queue(queue: &str, args: &[&str]) -> Output {
+    let configs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../configs");
+    sched_path(&configs.join(queue), args)
 }
 
 fn sched(args: &[&str]) -> Output {
@@ -29,6 +31,44 @@ fn zero_gpus_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("--gpus"), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "no plan may be printed");
+}
+
+/// Profiles are keyed by the size in hundredths as a `u32`, so a larger
+/// size would saturate the key: two such workflows shared one profile,
+/// and a size past `f64` energy range panicked the profiler. Both must be
+/// a typed error naming the field.
+#[test]
+fn sizes_the_profile_key_cannot_hold_are_rejected() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-oversize");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, sizes) in [
+        ("merge", &["1e8", "1e12"][..]),
+        ("overflow", &["1e200"][..]),
+    ] {
+        let workflows: Vec<String> = sizes
+            .iter()
+            .map(|size| {
+                format!(r#"{{"entries": [{{"kind": "Kripke", "size": {size}, "iterations": 1}}]}}"#)
+            })
+            .collect();
+        let queue = dir.join(format!("{name}.json"));
+        std::fs::write(
+            &queue,
+            format!(r#"{{"workflows": [{}]}}"#, workflows.join(", ")),
+        )
+        .unwrap();
+        let out = sched_path(&queue, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: stderr: {stderr}");
+        assert!(
+            stderr.contains("workflows[0].entries[0].size"),
+            "{name}: stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name}: stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: no plan may be printed");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -39,16 +39,6 @@ impl MigProfile {
             MigProfile::SevenSlice => 7,
         }
     }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            MigProfile::OneSlice => "1g",
-            MigProfile::TwoSlice => "2g",
-            MigProfile::ThreeSlice => "3g",
-            MigProfile::FourSlice => "4g",
-            MigProfile::SevenSlice => "7g",
-        }
-    }
 }
 
 /// One configured MIG instance.
@@ -68,15 +58,12 @@ pub struct MigInstance {
 /// let device = DeviceSpec::a100x();
 /// let layout = MigLayout::new(&device, &[MigProfile::FourSlice, MigProfile::ThreeSlice]).unwrap();
 /// assert_eq!(layout.instances().len(), 2);
-/// assert_eq!(layout.unused_slices(), 0);
 /// // Instances expose proportionally scaled sub-devices.
 /// assert!(layout.instances()[0].device.num_sms > layout.instances()[1].device.num_sms);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MigLayout {
     instances: Vec<MigInstance>,
-    /// Slices not covered by any instance (their SMs sit dark).
-    unused_slices: u32,
 }
 
 impl MigLayout {
@@ -108,18 +95,11 @@ impl MigLayout {
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(MigLayout {
-            instances,
-            unused_slices: TOTAL_SLICES - used,
-        })
+        Ok(MigLayout { instances })
     }
 
     pub fn instances(&self) -> &[MigInstance] {
         &self.instances
-    }
-
-    pub fn unused_slices(&self) -> u32 {
-        self.unused_slices
     }
 }
 
@@ -135,7 +115,6 @@ mod tests {
     fn seven_single_slices_fit_exactly() {
         let l = MigLayout::new(&dev(), &[MigProfile::OneSlice; 7]).unwrap();
         assert_eq!(l.instances().len(), 7);
-        assert_eq!(l.unused_slices(), 0);
     }
 
     #[test]
@@ -143,12 +122,6 @@ mod tests {
         assert!(MigLayout::new(&dev(), &[MigProfile::FourSlice, MigProfile::FourSlice]).is_err());
         assert!(MigLayout::new(&dev(), &[MigProfile::OneSlice; 8]).is_err());
         assert!(MigLayout::new(&dev(), &[]).is_err());
-    }
-
-    #[test]
-    fn mixed_layout_tracks_unused_slices() {
-        let l = MigLayout::new(&dev(), &[MigProfile::ThreeSlice, MigProfile::TwoSlice]).unwrap();
-        assert_eq!(l.unused_slices(), 2);
     }
 
     #[test]
@@ -162,9 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_names_match_nvidia_convention() {
-        assert_eq!(MigProfile::OneSlice.name(), "1g");
-        assert_eq!(MigProfile::SevenSlice.name(), "7g");
+    fn seven_slice_profile_spans_the_gpu() {
         assert_eq!(MigProfile::SevenSlice.slices(), 7);
     }
 }

@@ -279,10 +279,6 @@ impl GpuRunner {
         self
     }
 
-    pub fn device(&self) -> &DeviceSpec {
-        &self.device
-    }
-
     /// Executes `programs` under `sharing` and returns the merged result.
     pub fn run(&self, sharing: &GpuSharing, programs: Vec<ClientProgram>) -> Result<RunResult> {
         self.run_with_faults(sharing, programs, &FaultPlan::default())
@@ -318,7 +314,7 @@ impl GpuRunner {
                 faults.clone(),
             ),
             GpuSharing::Mps { partitions } => {
-                record_domain_rewrite("mps", FailureDomain::SharedServer, faults);
+                record_domain_rewrite("mps", sharing.failure_domain(), faults);
                 self.run_engine(
                     "mps",
                     SharingMode::Mps {
@@ -329,7 +325,7 @@ impl GpuRunner {
                 )
             }
             GpuSharing::Streams => {
-                record_domain_rewrite("streams", FailureDomain::SharedProcess, faults);
+                record_domain_rewrite("streams", sharing.failure_domain(), faults);
                 self.run_engine(
                     "streams",
                     SharingMode::Streams,
@@ -338,7 +334,7 @@ impl GpuRunner {
                 )
             }
             GpuSharing::Mig { layout, assignment } => {
-                record_domain_rewrite("mig", FailureDomain::PerInstance, faults);
+                record_domain_rewrite("mig", sharing.failure_domain(), faults);
                 self.run_mig(layout, assignment, programs, faults)
             }
         }

@@ -57,7 +57,6 @@ use mpshare_gpusim::{
     PreparedContender, RunResult, SharingMode, SolveScratch, ValidatedPrograms,
 };
 use mpshare_types::{Error, Fraction, Result, TaskId};
-use serde_json::Value;
 use std::collections::HashMap;
 
 /// One client's slowdown decomposition, all components in seconds of
@@ -94,46 +93,6 @@ pub struct AttributionReport {
     /// Sharing-mode name the run used (`"mps"` or `"streams"`).
     pub mode: String,
     pub clients: Vec<ClientAttribution>,
-}
-
-impl AttributionReport {
-    /// JSON artifact (deterministic field order).
-    pub fn to_json(&self) -> Value {
-        let clients = self
-            .clients
-            .iter()
-            .map(|c| {
-                Value::Object(vec![
-                    ("client".to_string(), Value::U64(c.client as u64)),
-                    ("label".to_string(), Value::String(c.label.clone())),
-                    ("completed".to_string(), Value::Bool(c.completed)),
-                    (
-                        "solo_turnaround_s".to_string(),
-                        Value::F64(c.solo_turnaround),
-                    ),
-                    (
-                        "shared_turnaround_s".to_string(),
-                        Value::F64(c.shared_turnaround),
-                    ),
-                    ("excess_s".to_string(), Value::F64(c.excess)),
-                    ("slowdown".to_string(), Value::F64(c.slowdown)),
-                    ("sm_partition_s".to_string(), Value::F64(c.sm_partition)),
-                    (
-                        "bandwidth_contention_s".to_string(),
-                        Value::F64(c.bandwidth_contention),
-                    ),
-                    ("power_throttle_s".to_string(), Value::F64(c.power_throttle)),
-                    ("memory_wait_s".to_string(), Value::F64(c.memory_wait)),
-                    ("residual_s".to_string(), Value::F64(c.residual)),
-                    ("exact".to_string(), Value::Bool(c.exact)),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("mode".to_string(), Value::String(self.mode.clone())),
-            ("clients".to_string(), Value::Array(clients)),
-        ])
-    }
 }
 
 /// One contiguous residency of a kernel on the GPU (aborted clients'
@@ -589,30 +548,5 @@ mod tests {
         let result = shared_run(&mps, &programs);
         // No event log recorded -> rejected.
         assert!(attribute(&mps, &programs, &result).is_err());
-    }
-
-    #[test]
-    fn report_serializes_to_json() {
-        let programs = vec![
-            program(
-                "a",
-                1,
-                vec![kernel(2.0, 0.4, 0.5); 2],
-                MemBytes::from_gib(1),
-            ),
-            program(
-                "b",
-                2,
-                vec![kernel(2.0, 0.4, 0.5); 2],
-                MemBytes::from_gib(1),
-            ),
-        ];
-        let config = EngineConfig::new(dev(), SharingMode::mps_uniform(2)).with_event_log(true);
-        let result = shared_run(&config, &programs);
-        let report = attribute(&config, &programs, &result).unwrap();
-        let json = serde_json::to_string(&report.to_json()).unwrap();
-        let parsed: Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed.get("clients").unwrap().as_array().unwrap().len(), 2);
-        assert!(json.contains("bandwidth_contention_s"));
     }
 }

@@ -6,7 +6,7 @@
 //! through every layer above the engine:
 //!
 //! * [`recorder`](mod@recorder) — a process-wide structured span/event recorder the
-//!   planner, annealer, online scheduler, MPS runner, executor and
+//!   planner, online scheduler, MPS runner, executor and
 //!   harness emit into. Zero-cost when disabled (one relaxed
 //!   atomic load; payloads behind closures), deterministic when enabled
 //!   (simulated time + monotonic sequence numbers, never wall clocks).

@@ -47,8 +47,6 @@ pub mod names {
     pub const PLAN_WARM_START_HITS: &str = "mpshare_plan_warm_start_hits_total";
     pub const PLAN_CANDIDATES: &str = "mpshare_plan_candidates_total";
     pub const PLAN_REJECTS: &str = "mpshare_plan_rejects_total";
-    pub const ANNEAL_ACCEPTED: &str = "mpshare_anneal_accepted_total";
-    pub const ANNEAL_REJECTED: &str = "mpshare_anneal_rejected_total";
     // Failure domains.
     pub const FAULT_DOMAIN_REWRITES: &str = "mpshare_fault_domain_rewrites_total";
     // Gauges.
@@ -191,8 +189,6 @@ impl MetricsRegistry {
             PLAN_CALLS,
             PLAN_CANDIDATES,
             PLAN_REJECTS,
-            ANNEAL_ACCEPTED,
-            ANNEAL_REJECTED,
             FAULT_DOMAIN_REWRITES,
         ] {
             inner.counters.entry(name.to_string()).or_insert(0);

@@ -1,7 +1,7 @@
 //! The span/event recorder: structured control-plane telemetry.
 //!
-//! Every layer above the engine (planner, anneal, online scheduler, MPS
-//! runner, executor, harness) emits [`ObsRecord`]s into one
+//! Every layer above the engine (planner, online scheduler, MPS runner,
+//! executor, harness) emits [`ObsRecord`]s into one
 //! process-wide [`Recorder`]. The design constraints, in order:
 //!
 //! * **Zero-cost when disabled.** Recording is off by default; the only
@@ -30,7 +30,7 @@ use std::sync::{Mutex, OnceLock};
 /// Perfetto process tracks in the merged export (see [`crate::perfetto`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Track {
-    /// Collocation plan search: greedy/best-fit/exhaustive/anneal decision
+    /// Collocation plan search: greedy/best-fit/exhaustive decision
     /// audits.
     Planner,
     /// The online dispatcher: dispatch, retry, backoff.
@@ -197,22 +197,6 @@ impl Recorder {
         out
     }
 
-    /// Copies every record without removing them (sequence-ordered).
-    pub fn snapshot(&self) -> Vec<ObsRecord> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(
-                shard
-                    .lock()
-                    .expect("recorder shard poisoned")
-                    .iter()
-                    .cloned(),
-            );
-        }
-        out.sort_by_key(|r| r.seq);
-        out
-    }
-
     /// Number of buffered records.
     pub fn len(&self) -> usize {
         self.shards
@@ -288,11 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_keeps_records() {
+    fn reset_clears_buffered_records() {
         let r = Recorder::new();
         r.set_enabled(true);
         r.emit(Track::Daemon, "a", None, None, || Value::Null);
-        assert_eq!(r.snapshot().len(), 1);
         assert_eq!(r.len(), 1);
         r.reset();
         assert!(r.is_empty());

@@ -391,12 +391,6 @@ impl QuantileTrack {
         self.dropped
     }
 
-    /// The sorted multiset of observations.
-    pub fn values(&mut self) -> &[f64] {
-        self.consolidate();
-        &self.sorted
-    }
-
     /// Exact nearest-rank quantile for `q ∈ (0, 1]`: the
     /// `⌈q·n⌉`-th smallest observation. `None` while empty.
     pub fn quantile(&mut self, q: f64) -> Option<f64> {

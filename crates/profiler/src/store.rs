@@ -9,9 +9,7 @@ use crate::collector::profile_task;
 use crate::profile::TaskProfile;
 use mpshare_gpusim::DeviceSpec;
 use mpshare_types::{Error, Result, TaskId};
-use mpshare_workloads::{
-    benchmark, build_task, BenchmarkKind, ProblemSize, SyntheticSpec, TaskSource, WorkflowSpec,
-};
+use mpshare_workloads::{BenchmarkKind, ProblemSize, SyntheticSpec, TaskSource, WorkflowSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -33,7 +31,7 @@ impl ProfileKey {
     pub fn new(kind: BenchmarkKind, size: ProblemSize) -> Self {
         ProfileKey::Benchmark {
             kind,
-            size_centis: (size.factor() * 100.0).round() as u32,
+            size_centis: size.centis(),
         }
     }
 
@@ -110,49 +108,11 @@ impl ProfileStore {
         self.profiles.is_empty()
     }
 
-    pub fn insert(&mut self, key: ProfileKey, profile: TaskProfile) {
-        self.profiles.insert(key, profile);
-    }
-
-    pub fn get(&self, kind: BenchmarkKind, size: ProblemSize) -> Result<&TaskProfile> {
-        let key = ProfileKey::new(kind, size);
-        self.profiles
-            .get(&key)
-            .ok_or_else(|| Error::MissingProfile(format!("{kind} {size}")))
-    }
-
     /// Looks up the profile of any task source (benchmark or custom).
     pub fn get_source(&self, source: &TaskSource) -> Result<&TaskProfile> {
         self.profiles
             .get(&ProfileKey::for_source(source))
             .ok_or_else(|| Error::MissingProfile(source.label()))
-    }
-
-    pub fn contains(&self, kind: BenchmarkKind, size: ProblemSize) -> bool {
-        self.profiles.contains_key(&ProfileKey::new(kind, size))
-    }
-
-    /// Profiles one (benchmark, size) pair by running it solo, unless
-    /// already present. Returns whether this store was missing the entry
-    /// (the simulation itself is memoized process-wide — see
-    /// [`crate::cache`] — so repeated tuples cost one run per process).
-    pub fn profile_once(
-        &mut self,
-        device: &DeviceSpec,
-        kind: BenchmarkKind,
-        size: ProblemSize,
-    ) -> Result<bool> {
-        let key = ProfileKey::new(kind, size);
-        if self.profiles.contains_key(&key) {
-            return Ok(false);
-        }
-        let profile = crate::cache::global().get_or_compute(device, &key, || {
-            let model = benchmark(kind);
-            let task = build_task(device, &model, size, TaskId::new(0))?;
-            profile_task(device, &task)
-        })?;
-        self.profiles.insert(key, profile);
-        Ok(true)
     }
 
     /// Profiles any task source (benchmark or custom) once per store;
@@ -188,10 +148,6 @@ impl ProfileStore {
         Ok(runs)
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&ProfileKey, &TaskProfile)> {
-        self.profiles.iter()
-    }
-
     /// Persists the store as pretty JSON — the offline profiling pass runs
     /// once per cluster and its results are reused across scheduling
     /// sessions, exactly like the paper's workflow.
@@ -219,6 +175,10 @@ mod tests {
         DeviceSpec::a100x()
     }
 
+    fn bench(kind: BenchmarkKind, size: ProblemSize) -> TaskSource {
+        TaskSource::Benchmark { kind, size }
+    }
+
     #[test]
     fn key_quantizes_sizes() {
         let a = ProfileKey::new(BenchmarkKind::Kripke, ProblemSize::new(2.0));
@@ -232,40 +192,36 @@ mod tests {
     fn missing_profile_is_an_error() {
         let store = ProfileStore::new();
         let err = store
-            .get(BenchmarkKind::Lammps, ProblemSize::X1)
+            .get_source(&bench(BenchmarkKind::Lammps, ProblemSize::X1))
             .unwrap_err();
         assert!(matches!(err, Error::MissingProfile(_)));
     }
 
     #[test]
-    fn profile_once_is_idempotent() {
+    fn profile_source_is_idempotent() {
         let d = dev();
+        let athena = bench(BenchmarkKind::AthenaPk, ProblemSize::X1);
         let mut store = ProfileStore::new();
-        assert!(store
-            .profile_once(&d, BenchmarkKind::AthenaPk, ProblemSize::X1)
-            .unwrap());
-        assert!(!store
-            .profile_once(&d, BenchmarkKind::AthenaPk, ProblemSize::X1)
-            .unwrap());
+        assert!(store.profile_source(&d, &athena).unwrap());
+        assert!(!store.profile_source(&d, &athena).unwrap());
         assert_eq!(store.len(), 1);
-        let p = store.get(BenchmarkKind::AthenaPk, ProblemSize::X1).unwrap();
+        let p = store.get_source(&athena).unwrap();
         assert!(p.avg_sm_util.value() < 10.0); // AthenaPK 1x: 7.54 %
     }
 
     #[test]
     fn save_and_load_round_trip() {
         let d = dev();
+        let kripke = bench(BenchmarkKind::Kripke, ProblemSize::X1);
         let mut store = ProfileStore::new();
-        store
-            .profile_once(&d, BenchmarkKind::Kripke, ProblemSize::X1)
-            .unwrap();
+        store.profile_source(&d, &kripke).unwrap();
         let path = std::env::temp_dir().join(format!("mpshare-store-{}.json", std::process::id()));
         store.save(&path).unwrap();
         let loaded = ProfileStore::load(&path).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(
-            loaded.get(BenchmarkKind::Kripke, ProblemSize::X1).unwrap(),
-            store.get(BenchmarkKind::Kripke, ProblemSize::X1).unwrap()
+            loaded.get_source(&kripke).unwrap(),
+            store.get_source(&kripke).unwrap()
         );
         std::fs::remove_file(&path).unwrap();
         assert!(ProfileStore::load(&path).is_err());
@@ -282,6 +238,8 @@ mod tests {
         ];
         let runs = store.profile_workflows(&d, &wfs).unwrap();
         assert_eq!(runs, 2); // AthenaPK 1x deduplicated
-        assert!(store.contains(BenchmarkKind::Kripke, ProblemSize::X1));
+        assert!(store
+            .get_source(&bench(BenchmarkKind::Kripke, ProblemSize::X1))
+            .is_ok());
     }
 }

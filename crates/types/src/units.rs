@@ -146,14 +146,6 @@ impl Power {
     pub fn watts(self) -> f64 {
         self.0
     }
-
-    pub fn min(self, other: Power) -> Power {
-        Power(self.0.min(other.0))
-    }
-
-    pub fn max(self, other: Power) -> Power {
-        Power(self.0.max(other.0))
-    }
 }
 
 impl Add for Power {
@@ -397,19 +389,6 @@ impl Percent {
     pub fn value(self) -> f64 {
         self.0
     }
-
-    /// The `[0, 1]` fraction equivalent.
-    pub fn fraction(self) -> Fraction {
-        Fraction::clamped(self.0 / 100.0)
-    }
-
-    pub fn min(self, other: Percent) -> Percent {
-        Percent(self.0.min(other.0))
-    }
-
-    pub fn max(self, other: Percent) -> Percent {
-        Percent(self.0.max(other.0))
-    }
 }
 
 impl fmt::Display for Percent {
@@ -448,14 +427,6 @@ impl Fraction {
 
     pub fn value(self) -> f64 {
         self.0
-    }
-
-    pub fn percent(self) -> Percent {
-        Percent::clamped(self.0 * 100.0)
-    }
-
-    pub fn min(self, other: Fraction) -> Fraction {
-        Fraction(self.0.min(other.0))
     }
 
     pub fn max(self, other: Fraction) -> Fraction {
@@ -597,13 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn percent_fraction_round_trip() {
-        let p = Percent::new(37.5);
-        assert!((p.fraction().value() - 0.375).abs() < 1e-12);
-        assert_eq!(p.fraction().percent(), p);
-    }
-
-    #[test]
     #[should_panic(expected = "within [0, 100]")]
     fn percent_new_rejects_out_of_range() {
         let _ = Percent::new(100.1);
@@ -615,7 +579,6 @@ mod tests {
         let quarter = half * half;
         assert_eq!(quarter.value(), 0.25);
         assert_eq!(half * 8.0, 4.0);
-        assert_eq!(half.percent().value(), 50.0);
     }
 
     #[test]

@@ -71,18 +71,34 @@ impl ProblemSize {
     pub const X2: ProblemSize = ProblemSize(2.0);
     pub const X4: ProblemSize = ProblemSize(4.0);
     pub const X8: ProblemSize = ProblemSize(8.0);
+    /// The largest size the profile store can tell apart: it keys sizes
+    /// by [`ProblemSize::centis`], a `u32`.
+    pub const MAX: ProblemSize = ProblemSize(u32::MAX as f64 / 100.0);
 
     #[track_caller]
     pub fn new(factor: f64) -> Self {
         assert!(
-            factor >= 1.0 && factor.is_finite(),
-            "problem size factor must be ≥ 1, got {factor}"
+            Self::is_valid_factor(factor),
+            "problem size factor must be ≥ 1 and ≤ {}, got {factor}",
+            Self::MAX.0
         );
         ProblemSize(factor)
     }
 
+    /// Whether `factor` is a size the pipeline accepts: finite and in
+    /// `[1, MAX]`.
+    pub fn is_valid_factor(factor: f64) -> bool {
+        (1.0..=Self::MAX.0).contains(&factor)
+    }
+
     pub fn factor(self) -> f64 {
         self.0
+    }
+
+    /// The factor in hundredths, rounded: the profile store's size key.
+    /// It does not saturate for any factor up to [`ProblemSize::MAX`].
+    pub fn centis(self) -> u32 {
+        (self.0 * 100.0).round() as u32
     }
 }
 

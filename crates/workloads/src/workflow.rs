@@ -172,9 +172,10 @@ impl WorkflowSpec {
             match &entry.source {
                 TaskSource::Benchmark { size, .. } => {
                     let factor = size.factor();
-                    if !factor.is_finite() || factor < 1.0 {
+                    if !ProblemSize::is_valid_factor(factor) {
                         return Err(mpshare_types::Error::InvalidConfig(format!(
-                            "{ectx}: size must be a finite factor ≥ 1, got {factor}"
+                            "{ectx}.size: must be a finite factor in [1, {}], got {factor}",
+                            ProblemSize::MAX.factor()
                         )));
                     }
                 }

@@ -164,7 +164,7 @@ fn stores_keyed_by_custom_name_alone_never_answer_for_another_spec() {
 
     // The benchmark entry survives; the name-only entry answers nothing.
     assert_eq!(loaded.len(), 1);
-    assert!(loaded.contains(BenchmarkKind::Kripke, ProblemSize::X1));
+    assert!(loaded.get_source(&queue[0].entries[0].source).is_ok());
     assert!(loaded.get_source(&new.source).is_err());
     let queue = vec![WorkflowSpec::new(vec![new.clone()])];
     assert_eq!(loaded.profile_workflows(&d, &queue).unwrap(), 1);

@@ -5,7 +5,7 @@
 //! run the same planning/evaluation pipelines with fan-out enabled and
 //! with the `--serial` escape hatch forced, and require exact equality —
 //! not approximate agreement — across every level: plans, evaluation
-//! reports, annealed schedules, and whole harness experiments.
+//! reports, and whole harness experiments.
 //!
 //! `set_serial` is process-wide state; each test restores it before
 //! returning, and the comparisons hold regardless of interleaving (both
@@ -13,8 +13,8 @@
 
 use mpshare::core::workflow_profile;
 use mpshare::core::{
-    anneal, AnnealConfig, EvaluationReport, Executor, ExecutorConfig, MetricPriority, Planner,
-    PlannerStrategy, SchedulePlan,
+    EvaluationReport, Executor, ExecutorConfig, MetricPriority, Planner, PlannerStrategy,
+    SchedulePlan,
 };
 use mpshare::gpusim::DeviceSpec;
 use mpshare::profiler::ProfileStore;
@@ -34,9 +34,9 @@ fn queue() -> Vec<WorkflowSpec> {
     ]
 }
 
-/// Runs the full pipeline — profile, plan (every strategy), anneal,
-/// evaluate every plan — and returns everything it produced.
-fn pipeline() -> (Vec<SchedulePlan>, SchedulePlan, Vec<EvaluationReport>) {
+/// Runs the full pipeline — profile, plan (every strategy), evaluate
+/// every plan — and returns everything it produced.
+fn pipeline() -> (Vec<SchedulePlan>, Vec<EvaluationReport>) {
     let d = device();
     let workflows = queue();
     let mut store = ProfileStore::new();
@@ -57,23 +57,12 @@ fn pipeline() -> (Vec<SchedulePlan>, SchedulePlan, Vec<EvaluationReport>) {
     .map(|&s| planner.plan(&profiles, s).unwrap())
     .collect();
 
-    let annealed = anneal(
-        &planner,
-        &device(),
-        &profiles,
-        &plans[2],
-        AnnealConfig {
-            iterations: 400,
-            ..AnnealConfig::default()
-        },
-    );
-
     let executor = Executor::new(ExecutorConfig::new(device()));
     let reports = plans
         .iter()
         .map(|plan| executor.evaluate_plan(&workflows, plan).unwrap())
         .collect();
-    (plans, annealed, reports)
+    (plans, reports)
 }
 
 #[test]
@@ -82,14 +71,13 @@ fn parallel_pipeline_is_bit_identical_to_serial() {
         !mpshare::par::is_serial(),
         "MPSHARE_SERIAL must be unset for this test"
     );
-    let (plans_par, annealed_par, reports_par) = pipeline();
+    let (plans_par, reports_par) = pipeline();
 
     mpshare::par::set_serial(true);
-    let (plans_ser, annealed_ser, reports_ser) = pipeline();
+    let (plans_ser, reports_ser) = pipeline();
     mpshare::par::set_serial(false);
 
     assert_eq!(plans_par, plans_ser);
-    assert_eq!(annealed_par, annealed_ser);
     assert_eq!(reports_par, reports_ser);
 }
 
