@@ -6,7 +6,7 @@
 
 CARGO ?= cargo
 
-.PHONY: check build test test-all fmt clippy doc alloc-gate bench bench-build bench-gate bench-ab fault-smoke trace-smoke fuzz-smoke golden golden-update clean
+.PHONY: check build test test-all fmt clippy doc alloc-gate bench bench-build bench-gate bench-ab bench-e2e-ab fault-smoke trace-smoke fuzz-smoke golden golden-update clean
 
 # The full tier-1 gate: release build, every workspace crate's tests (the
 # root package's included), formatting, lints, warning-free API docs, the
@@ -125,6 +125,50 @@ bench-ab: build
 	done
 	git worktree remove --force $(AB)/parent
 	./target/release/bench_gate $(AB)/parent.json $(AB)/cand.json --max-regression 0.25
+
+# End-to-end A/B against the parent commit (not part of `check`): the
+# sibling of bench-ab for one BENCHMARK.json workload, `make bench-e2e-ab
+# W=<workload>`. The parent (chosen as in bench-ab) is checked out with
+# `git worktree` under .bench-e2e-ab/ and its mpshare-benchmark is built
+# into its own target dir; 4 rounds then run `--workload $(W) --seconds 20`
+# on both sides, alternating which goes first. Prints each run's
+# end-to-end metrics and each side's median per metric. Needs jq; takes
+# about 3 min plus the two builds. Building the benchmark may rewrite a
+# line of mpshare-benchmark/Cargo.lock (ROADMAP item 2): do not commit it.
+W ?= repro_all
+E2E := $(CURDIR)/.bench-e2e-ab
+E2E_BUILD := build --release --offline -q --manifest-path mpshare-benchmark/Cargo.toml
+E2E_METRICS := setup_s iter_ms_p50 iter_ms_p90 iters_per_s peak_rss_mib
+E2E_MEDIAN := map(.metrics[$$m].value) | sort | (.[(length - 1) / 2 | floor] + .[length / 2 | floor]) / 2
+bench-e2e-ab:
+	@rm -rf $(E2E) && git worktree prune && mkdir -p $(E2E)/runs
+	git worktree add --detach $(E2E)/parent \
+		$$(git diff --quiet HEAD && echo HEAD~1 || echo HEAD) >/dev/null
+	cd $(E2E)/parent && CARGO_TARGET_DIR=$(E2E)/target $(CARGO) $(E2E_BUILD)
+	$(CARGO) $(E2E_BUILD)
+	@for i in 1 2 3 4; do \
+		if [ $$((i % 2)) = 1 ]; then order="parent cand"; else order="cand parent"; fi; \
+		for side in $$order; do \
+			if [ $$side = parent ]; then exe=$(E2E)/target/release/mpshare-benchmark; \
+			else exe=$(CURDIR)/mpshare-benchmark/target/release/mpshare-benchmark; fi; \
+			run=$(E2E)/runs/$$side-$$i; \
+			$$exe --workload $(W) --seconds 20 > $$run.out 2> $$run.log || exit 1; \
+			tail -n 1 $$run.out > $$run.json; \
+			printf '%-6s round %d:' $$side $$i; \
+			for m in $(E2E_METRICS); do \
+				printf ' %s=%s' $$m "$$(jq -r --arg m $$m '.metrics[$$m].value' $$run.json)"; \
+			done; \
+			echo " failed=$$(jq -r .failed $$run.json)"; \
+		done; \
+	done
+	@for side in parent cand; do \
+		printf '%-6s median:' $$side; \
+		for m in $(E2E_METRICS); do \
+			printf ' %s=%s' $$m "$$(jq -s -r --arg m $$m '$(E2E_MEDIAN)' $(E2E)/runs/$$side-*.json)"; \
+		done; \
+		echo; \
+	done
+	git worktree remove --force $(E2E)/parent
 
 # Fault-injection determinism gate: the seeded ext_faults experiment must
 # be bit-identical run-to-run and across serial vs. parallel execution.

@@ -27,7 +27,7 @@ use crate::events::{Event, EventKind, EventLog};
 use crate::fault::{FaultPlan, FaultRecord, FaultScope, FaultSpec};
 use crate::power::{PowerModel, PowerState};
 use crate::program::{ClientProgram, ValidatedPrograms};
-use crate::telemetry::{Segment, Telemetry};
+use crate::telemetry::{SegmentState, Telemetry};
 use mpshare_types::{Energy, Error, Fraction, MemBytes, Result, Seconds, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -71,6 +71,12 @@ impl SharingMode {
     }
 }
 
+/// Default event budget of one engine run ([`EngineConfig::max_events`]).
+/// Every kernel costs at least one event, so a workload of more kernels
+/// can never finish within it; queue loaders reject such workloads up
+/// front.
+pub const MAX_EVENTS: u64 = 50_000_000;
+
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -101,7 +107,7 @@ impl EngineConfig {
             device,
             mode,
             sharing_overhead: 0.0,
-            max_events: 50_000_000,
+            max_events: MAX_EVENTS,
             record_events: false,
             faults: FaultPlan::default(),
             force_full_resolve: false,
@@ -352,6 +358,8 @@ struct SliceSolution {
     sm_util: f64,
     bw_util: f64,
     pstate: PowerState,
+    /// Telemetry palette id of the solved device state.
+    state: u32,
 }
 
 impl ClientColumns {
@@ -422,10 +430,12 @@ pub struct EngineScratch {
     prepared_scratch: Vec<PreparedContender>,
     allocations_scratch: Vec<Allocation>,
     solve_scratch: SolveScratch,
-    /// Telemetry segment count of the previous run; the next engine
-    /// pre-reserves this many so an identical (or smaller) run never
-    /// grows the telemetry vector mid-steady-state.
+    /// Telemetry segment and interned-state counts of the previous run;
+    /// the next engine pre-reserves this many so an identical (or
+    /// smaller) run never grows the telemetry columns or palette
+    /// mid-steady-state.
     segments_hint: usize,
+    states_hint: usize,
 }
 
 /// The execution engine. Construct with [`Engine::new`], then [`Engine::run`].
@@ -462,6 +472,9 @@ pub struct Engine {
     solved_sm_util: f64,
     solved_bw_util: f64,
     solved_pstate: PowerState,
+    /// Telemetry palette id of the solved state, interned once per solve
+    /// so each event appends only its time span and this id.
+    solved_state: u32,
     /// Time-sliced solve cache for the empty scheduled set (see
     /// [`ClientColumns::slice_solution`]).
     drained_solution: Option<SliceSolution>,
@@ -624,6 +637,7 @@ impl Engine {
             mut allocations_scratch,
             mut solve_scratch,
             segments_hint,
+            states_hint,
         } = scratch;
         // Reset recycled state and pre-size every per-client buffer to the
         // roster, so no steady-state push or sorted insert can ever grow a
@@ -657,7 +671,7 @@ impl Engine {
         allocations_scratch.clear();
         allocations_scratch.reserve(n);
         solve_scratch.reserve(n);
-        Ok(Engine {
+        let mut engine = Engine {
             config,
             solver,
             power,
@@ -666,7 +680,7 @@ impl Engine {
             free_memory,
             memory_waiters,
             now: 0.0,
-            telemetry: Telemetry::with_capacity(segments_hint),
+            telemetry: Telemetry::with_capacity(segments_hint, states_hint),
             active: None,
             quantum_remaining: 0.0,
             switch_remaining: 0.0,
@@ -681,6 +695,7 @@ impl Engine {
             solved_sm_util: 0.0,
             solved_bw_util: 0.0,
             solved_pstate: idle_pstate,
+            solved_state: 0,
             drained_solution: None,
             rate_solves: 0,
             prepared_scratch,
@@ -701,7 +716,10 @@ impl Engine {
             seq_head: 0,
             arrivals,
             max_queue_depth: 0,
-        })
+        };
+        // The pre-solved idle state above is the first one interned.
+        engine.solved_state = engine.intern_solution();
+        Ok(engine)
     }
 
     #[inline]
@@ -803,7 +821,8 @@ impl Engine {
     /// clone and no re-validation.
     pub fn run(mut self) -> Result<EngineRun> {
         while self.step()? {}
-        let segments_hint = self.telemetry.segments().len();
+        let segments_hint = self.telemetry.len();
+        let states_hint = self.telemetry.state_count();
         let (result, stats) = self.build_result();
         let Engine {
             config,
@@ -845,6 +864,7 @@ impl Engine {
             allocations_scratch,
             solve_scratch,
             segments_hint,
+            states_hint,
         };
         Ok(EngineRun {
             result,
@@ -1421,6 +1441,7 @@ impl Engine {
         self.solved_sm_util = s.sm_util;
         self.solved_bw_util = s.bw_util;
         self.solved_pstate = s.pstate;
+        self.solved_state = s.state;
         self.solved_epoch = self.resident_epoch;
         #[cfg(debug_assertions)]
         self.cross_check_slice_reuse();
@@ -1436,6 +1457,7 @@ impl Engine {
             sm_util: self.solved_sm_util,
             bw_util: self.solved_bw_util,
             pstate: self.solved_pstate,
+            state: self.solved_state,
         };
         match self.solved_scheduled.first() {
             Some(&a) => self.cols.slice_solution[a] = Some(s),
@@ -1489,8 +1511,21 @@ impl Engine {
         self.solved_sm_util = sm_util;
         self.solved_bw_util = bw_util;
         self.solved_pstate = pstate;
+        self.solved_state = self.intern_solution();
         self.solved_epoch = self.resident_epoch;
         self.rate_solves += 1;
+    }
+
+    /// Interns the solved device state into the telemetry palette.
+    fn intern_solution(&mut self) -> u32 {
+        self.telemetry.intern(SegmentState {
+            sm_util: self.solved_sm_util.min(1.0),
+            bw_util: self.solved_bw_util.min(1.0),
+            power: self.solved_pstate.power,
+            clock_factor: self.solved_pstate.clock_factor,
+            capped: self.solved_pstate.capped,
+            active_clients: self.solved_scheduled.len(),
+        })
     }
 
     /// Debug-build invariant: a time-slice cache hit must equal a
@@ -1652,16 +1687,11 @@ impl Engine {
         }
 
         // Integrate telemetry for this segment.
-        self.telemetry.record(Segment {
-            start: Seconds::new(self.now),
-            end: Seconds::new(self.now + dt),
-            sm_util: self.solved_sm_util.min(1.0),
-            bw_util: self.solved_bw_util.min(1.0),
-            power: pstate.power,
-            clock_factor: pstate.clock_factor,
-            capped: pstate.capped,
-            active_clients: self.solved_scheduled.len(),
-        });
+        self.telemetry.push(
+            Seconds::new(self.now),
+            Seconds::new(self.now + dt),
+            self.solved_state,
+        );
 
         // Apply progress over the dense columns — no phase dispatch, every
         // slot is Running. Clients whose kernel or timer expires are pushed

@@ -189,7 +189,9 @@ impl RunResult {
         if self.telemetry.is_empty() {
             return;
         }
-        let integral = self.telemetry.total_energy().joules();
+        // Folded here rather than read from the telemetry's running total,
+        // which `total_energy` was copied from: the check stays independent.
+        let integral: f64 = self.telemetry.segments().map(|s| s.energy().joules()).sum();
         if !energy_close(integral, self.total_energy.joules()) {
             v.push(format!(
                 "total_energy {} J disagrees with the telemetry integral {integral} J",
@@ -246,7 +248,11 @@ impl RunResult {
             }
         }
         if !self.telemetry.is_empty() {
-            let covered = self.telemetry.total_time().value();
+            let covered: f64 = self
+                .telemetry
+                .segments()
+                .map(|s| s.duration().value())
+                .sum();
             if covered > makespan + 1e-6 {
                 v.push(format!(
                     "telemetry covers {covered} s, past the makespan {makespan} s"

@@ -45,7 +45,7 @@ pub use contention::{Allocation, ContentionSolver, PreparedContender, SolveScrat
 pub use device::DeviceSpec;
 pub use engine::{
     ClientOutcome, Engine, EngineConfig, EngineRun, EngineScratch, EngineStats, RunResult,
-    SharingMode,
+    SharingMode, MAX_EVENTS,
 };
 pub use events::{Event, EventKind, EventLog};
 pub use fault::{unit_hash, FaultPlan, FaultRecord, FaultScope, FaultSpec};

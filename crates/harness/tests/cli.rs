@@ -71,6 +71,51 @@ fn sizes_the_profile_key_cannot_hold_are_rejected() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Every kernel is at least one engine event, so a workflow of more
+/// kernels than the event budget can never finish; building one tried to
+/// allocate every task up front (hundreds of GB, an abort or an OOM kill).
+/// It must be a typed error naming the field, before anything is built.
+#[test]
+fn queues_past_the_event_budget_are_rejected() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-event-budget");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = r#"{"sm_demand": 0.2, "bw_demand": 0.02, "duty_cycle": 0.4, "duration": 10.0,
+        "memory_mib": 512, "kernels": 4000000000, "cache_sensitivity": 0.2,
+        "client_sensitivity": 0.1}"#;
+    for (field, entry) in [
+        (
+            "kernels",
+            format!(r#"{{"name": "huge", "spec": {spec}, "iterations": 1}}"#),
+        ),
+        (
+            "iterations",
+            r#"{"kind": "Kripke", "size": 1.0, "iterations": 4000000000}"#.to_string(),
+        ),
+    ] {
+        let queue = dir.join(format!("{field}.json"));
+        std::fs::write(
+            &queue,
+            format!(r#"{{"workflows": [{{"entries": [{entry}]}}]}}"#),
+        )
+        .unwrap();
+        let out = sched_path(&queue, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{field}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("workflows[0].entries[0].{field}")),
+            "{field}: stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{field}: stderr: {stderr}");
+        assert!(
+            !stderr.contains("memory allocation"),
+            "{field}: stderr: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{field}: no plan may be printed");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn two_gpu_node_prints_the_plan_and_metrics_as_json() {
     let out = sched(&["--gpus", "2", "--json"]);

@@ -599,8 +599,8 @@ fn merge_parallel_telemetries(
         let mut capped = false;
         let mut active = 0usize;
         for (pi, (r, dev)) in parts.iter().enumerate() {
-            let segs = r.telemetry.segments();
-            while cursors[pi] < segs.len() && segs[cursors[pi]].end.value() <= mid {
+            let segs = &r.telemetry;
+            while segs.get(cursors[pi]).is_some_and(|s| s.end.value() <= mid) {
                 cursors[pi] += 1;
             }
             let sm_weight = dev.num_sms as f64 / parent.num_sms as f64;

@@ -4,7 +4,9 @@
 //! workloads whose parameters sweep ranges the seven real benchmarks do
 //! not cover. A [`SyntheticSpec`] describes a workload analytically.
 
-use mpshare_gpusim::{ClientProgram, DeviceSpec, KernelSpec, LaunchConfig, TaskProgram};
+use mpshare_gpusim::{
+    ClientProgram, DeviceSpec, KernelSpec, LaunchConfig, TaskProgram, MAX_EVENTS,
+};
 use mpshare_types::{Fraction, MemBytes, Result, Seconds, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -89,6 +91,14 @@ impl SyntheticSpec {
         if self.kernels == 0 {
             return Err(mpshare_types::Error::InvalidConfig(format!(
                 "{ctx}: kernels must be at least 1"
+            )));
+        }
+        // Every kernel is at least one engine event.
+        if self.kernels as u64 > MAX_EVENTS {
+            return Err(mpshare_types::Error::InvalidConfig(format!(
+                "{ctx}.kernels: must be at most {MAX_EVENTS}, the engine's event budget, \
+                 got {}",
+                self.kernels
             )));
         }
         for (field, value) in [
@@ -184,5 +194,22 @@ mod tests {
         assert_eq!(p.task_count(), 4);
         assert_eq!(p.tasks[0].id.raw(), 100);
         assert_eq!(p.tasks[3].id.raw(), 103);
+    }
+
+    #[test]
+    fn kernel_counts_past_the_event_budget_are_rejected() {
+        let spec = |kernels| SyntheticSpec {
+            kernels,
+            ..SyntheticSpec::light()
+        };
+        // The engine's event budget (`MAX_EVENTS`), written out so the
+        // test pins its value.
+        let budget = 50_000_000;
+        assert!(spec(budget).validate_fields("w").is_ok());
+        let e = spec(budget + 1)
+            .validate_fields("w")
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("w.kernels"), "{e}");
     }
 }

@@ -10,7 +10,7 @@ use crate::builder::build_task;
 use crate::catalog::benchmark;
 use crate::spec::{BenchmarkKind, ProblemSize};
 use crate::synthetic::SyntheticSpec;
-use mpshare_gpusim::{ClientProgram, DeviceSpec, TaskProgram};
+use mpshare_gpusim::{ClientProgram, DeviceSpec, TaskProgram, MAX_EVENTS};
 use mpshare_types::{IdAllocator, Result, TaskId};
 use serde::{Deserialize, Serialize};
 
@@ -154,7 +154,9 @@ impl WorkflowSpec {
     /// or the engine. `#[serde(transparent)]` problem sizes and plain
     /// floats bypass the constructors' range asserts at parse time, so a
     /// queue loader calls this to reject zero/negative sizes, zero
-    /// iteration counts, and non-finite values with an error naming the
+    /// iteration counts, non-finite values, and workflows of more kernels
+    /// than [`MAX_EVENTS`] (every kernel is at least one engine event, so
+    /// such a workflow could never finish) with an error naming the
     /// offending field. `ctx` prefixes the error, e.g. `"workflows[2]"`.
     pub fn validate_fields(&self, ctx: &str) -> Result<()> {
         if self.entries.is_empty() {
@@ -162,6 +164,9 @@ impl WorkflowSpec {
                 "{ctx}: entries must not be empty"
             )));
         }
+        // Lower bound on the workflow's kernel count: a catalog task runs
+        // at least one kernel.
+        let mut kernels: u64 = 0;
         for (i, entry) in self.entries.iter().enumerate() {
             let ectx = format!("{ctx}.entries[{i}]");
             if entry.iterations == 0 {
@@ -188,6 +193,23 @@ impl WorkflowSpec {
                     spec.validate_fields(&ectx)?;
                 }
             }
+            let per_task = match &entry.source {
+                TaskSource::Benchmark { .. } => 1,
+                TaskSource::Custom { spec, .. } => spec.kernels as u64,
+            };
+            kernels = u64::try_from(entry.iterations)
+                .ok()
+                .and_then(|iterations| iterations.checked_mul(per_task))
+                .and_then(|entry_kernels| entry_kernels.checked_add(kernels))
+                .filter(|&total| total <= MAX_EVENTS)
+                .ok_or_else(|| {
+                    mpshare_types::Error::InvalidConfig(format!(
+                        "{ectx}.iterations: the workflow would run more than {MAX_EVENTS} \
+                         kernels, the engine's event budget, so it could never finish \
+                         (got {} iterations)",
+                        entry.iterations
+                    ))
+                })?;
         }
         Ok(())
     }
@@ -390,6 +412,45 @@ mod tests {
         assert!(json.contains("my-solver"));
         let back: WorkflowTask = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn workflows_past_the_event_budget_are_rejected() {
+        use crate::synthetic::SyntheticSpec;
+        // The engine's event budget (`MAX_EVENTS`), written out so the
+        // test pins its value.
+        let budget = 50_000_000;
+        let kripke =
+            |iterations| WorkflowTask::new(BenchmarkKind::Kripke, ProblemSize::X1, iterations);
+        let custom = |kernels, iterations| {
+            let spec = SyntheticSpec {
+                kernels,
+                ..SyntheticSpec::light()
+            };
+            WorkflowTask::custom("solver", spec, iterations)
+        };
+        let error = |entries: Vec<WorkflowTask>| {
+            WorkflowSpec::new(entries)
+                .validate_fields("workflows[0]")
+                .unwrap_err()
+                .to_string()
+        };
+        let at_budget = WorkflowSpec::new(vec![kripke(budget - 1), custom(1, 1)]);
+        assert!(at_budget.validate_fields("workflows[0]").is_ok());
+
+        let e = error(vec![kripke(4_000_000_000)]);
+        assert!(e.contains("workflows[0].entries[0].iterations"), "{e}");
+        let e = error(vec![kripke(usize::MAX)]);
+        assert!(e.contains("workflows[0].entries[0].iterations"), "{e}");
+        let e = error(vec![custom(4_000_000_000, 1)]);
+        assert!(e.contains("workflows[0].entries[0].kernels"), "{e}");
+        // 1 000 kernels × 100 000 iterations, and a sum across entries.
+        let e = error(vec![custom(1_000, 100_000)]);
+        assert!(e.contains("workflows[0].entries[0].iterations"), "{e}");
+        let e = error(vec![kripke(budget), custom(1, 1)]);
+        assert!(e.contains("workflows[0].entries[1].iterations"), "{e}");
+        let e = error(vec![custom(2, usize::MAX)]);
+        assert!(e.contains("workflows[0].entries[0].iterations"), "{e}");
     }
 
     #[test]

@@ -59,7 +59,7 @@ proptest! {
         let t = &result.telemetry;
 
         prop_assert!((t.total_time().value() - result.makespan.value()).abs() < 1e-6);
-        let integral: f64 = t.segments().iter().map(|s| s.energy().joules()).sum();
+        let integral: f64 = t.segments().map(|s| s.energy().joules()).sum();
         prop_assert!((integral - result.total_energy.joules()).abs() < 1e-6);
         for s in t.segments() {
             prop_assert!(s.sm_util >= 0.0 && s.sm_util <= 1.0 + 1e-9);

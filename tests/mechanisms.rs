@@ -74,7 +74,6 @@ fn all_mechanisms_conserve_tasks_and_integrate_energy() {
         let integral: f64 = result
             .telemetry
             .segments()
-            .iter()
             .map(|s| s.energy().joules())
             .sum();
         assert!(

@@ -6,14 +6,16 @@
 //! replaces. These properties drive randomized workloads (including
 //! fault-abort churn) through both paths and compare the full outputs.
 //! The plan search is compared against [`brute_force_plan`], a plain
-//! enumeration written here from the planner's public API only.
+//! enumeration written here from the planner's public API only, and the
+//! telemetry's running totals against [`assert_totals_match_folds`], the
+//! per-aggregate folds over the segment list they replace.
 
 use mpshare::core::{
     MetricPriority, PlanGroup, Planner, PlannerStrategy, SchedulePlan, WorkflowProfile,
 };
 use mpshare::gpusim::{
     ClientProgram, DeviceSpec, Engine, EngineConfig, EngineRun, EngineScratch, EngineStats,
-    FaultPlan, RunResult, SharingMode, ValidatedPrograms,
+    FaultPlan, RunResult, Segment, SharingMode, Telemetry, ValidatedPrograms,
 };
 use mpshare::types::{Energy, MemBytes, Percent, Power, Seconds};
 use mpshare::workloads::SyntheticSpec;
@@ -358,12 +360,18 @@ fn gpu_runner_fast_paths_match_full_resolve_for_all_mechanisms() {
 /// cache changes which solves run, never which events happen. The forced
 /// full re-solve still solves at every resident-set change (2 407 times);
 /// the cache solves each of the 36 kernels' `{active}` sets once plus the
-/// drained set once — exactly the kernel-starts + 1 bound.
+/// drained set once — exactly the kernel-starts + 1 bound. Every event
+/// records one segment; the telemetry palette holds the initial idle
+/// state plus one state per solve, less the 5 solves of the last client's
+/// back-to-back identical kernels once it runs alone, which re-intern the
+/// state interned just before (33 = 1 + 37 − 5).
 #[test]
 fn timesliced_work_counters_are_pinned() {
     const EVENTS: u64 = 2_409;
     const FORCED_SOLVES: u64 = 2_407;
     const CACHED_SOLVES: u64 = 37;
+    const SEGMENTS: usize = 2_409;
+    const STATES: usize = 33;
 
     let specs: Vec<SyntheticSpec> = (0..3)
         .map(|i| SyntheticSpec {
@@ -401,6 +409,10 @@ fn timesliced_work_counters_are_pinned() {
     assert_eq!(forced_stats.rate_solves, FORCED_SOLVES);
     assert!(stats.rate_solves <= kernel_starts(&programs) + 1);
     assert_eq!(stats.rate_solves, CACHED_SOLVES);
+    // Quantum rotations reuse the interned state of their slice solve.
+    assert_eq!(cached.telemetry.len(), SEGMENTS);
+    assert_eq!(cached.telemetry.state_count(), STATES);
+    assert!(STATES as u64 <= CACHED_SOLVES + 1);
 }
 
 /// Deterministic work-counter pin on a fixed gap-heavy MPS roster (6
@@ -409,11 +421,15 @@ fn timesliced_work_counters_are_pinned() {
 /// boundary. Both counts are the engine's values from when single
 /// joins/leaves were spliced into the previous solve instead of re-solved
 /// (243 incremental + 45 full solves): there is one solve path now, but
-/// the same events and the same number of solves.
+/// the same events and the same number of solves. Every event records one
+/// segment, and every solve interns one new state after the initial idle
+/// one.
 #[test]
 fn mps_work_counters_are_pinned() {
     const EVENTS: u64 = 293;
     const RATE_SOLVES: u64 = 288;
+    const SEGMENTS: usize = 293;
+    const STATES: usize = 289;
 
     let d = device();
     let programs: Vec<ClientProgram> = (0..6)
@@ -435,7 +451,164 @@ fn mps_work_counters_are_pinned() {
         })
         .collect();
     let config = EngineConfig::new(device(), SharingMode::mps_uniform(programs.len()));
-    let stats = run_engine(config, programs).stats;
+    let run = run_engine(config, programs);
+    let stats = run.stats;
     assert_eq!(stats.events, EVENTS);
     assert_eq!(stats.rate_solves, RATE_SOLVES);
+    assert_eq!(run.result.telemetry.len(), SEGMENTS);
+    assert_eq!(run.result.telemetry.state_count(), STATES);
+    assert!(STATES as u64 <= RATE_SOLVES + 1);
+}
+
+/// The folds `Telemetry` ran over its whole segment list per aggregate
+/// before it kept running totals, written here against `segments()` only:
+/// each running total must equal its fold bit for bit.
+fn assert_totals_match_folds(t: &Telemetry, what: &str) {
+    let segments: Vec<Segment> = t.segments().collect();
+    assert_eq!(segments.len(), t.len(), "{what}: segment count");
+    let time: Seconds = segments.iter().map(|s| s.duration()).sum();
+    let energy: Energy = segments.iter().map(|s| s.energy()).sum();
+    let capped: Seconds = segments
+        .iter()
+        .filter(|s| s.capped)
+        .map(|s| s.duration())
+        .sum();
+    let idle: Seconds = segments
+        .iter()
+        .filter(|s| s.active_clients == 0)
+        .map(|s| s.duration())
+        .sum();
+    let ratio = |part: f64| {
+        if time == Seconds::ZERO {
+            0.0
+        } else {
+            part / time.value()
+        }
+    };
+    let weighted_avg = |util: fn(&Segment) -> f64| {
+        if time == Seconds::ZERO {
+            return Percent::ZERO;
+        }
+        let integral: f64 = segments
+            .iter()
+            .map(|s| util(s) * s.duration().value())
+            .sum();
+        Percent::clamped(integral / time.value() * 100.0)
+    };
+    let avg_power = if time == Seconds::ZERO {
+        Power::ZERO
+    } else {
+        energy / time
+    };
+    let pairs = [
+        ("total_time", t.total_time().value(), time.value()),
+        ("total_energy", t.total_energy().joules(), energy.joules()),
+        ("avg_power", t.avg_power().watts(), avg_power.watts()),
+        ("capped_time", t.capped_time().value(), capped.value()),
+        (
+            "capped_fraction",
+            t.capped_fraction(),
+            ratio(capped.value()),
+        ),
+        ("idle_time", t.idle_time().value(), idle.value()),
+        ("busy_fraction", t.busy_fraction(), {
+            if time == Seconds::ZERO {
+                0.0
+            } else {
+                1.0 - idle / time
+            }
+        }),
+        (
+            "avg_sm_util",
+            t.avg_sm_util().value(),
+            weighted_avg(|s| s.sm_util).value(),
+        ),
+        (
+            "avg_bw_util",
+            t.avg_bw_util().value(),
+            weighted_avg(|s| s.bw_util).value(),
+        ),
+    ];
+    for (name, running, folded) in pairs {
+        assert_eq!(
+            running.to_bits(),
+            folded.to_bits(),
+            "{what}: {name} running total {running} != fold {folded}"
+        );
+    }
+}
+
+/// Every `Telemetry` aggregate is a running total folded as segments are
+/// recorded. Across every mechanism (MIG through the runner's merge of
+/// per-instance timelines), with and without a client fault, with an idle
+/// lead-in before the first arrival, and after a serde round trip of the
+/// whole `RunResult`, each total equals the reference fold bit for bit.
+#[test]
+fn telemetry_running_totals_equal_the_reference_folds() {
+    use mpshare::mps::{GpuRunner, GpuSharing, MigLayout, MigProfile, TimeSliceConfig};
+
+    let d = device();
+    let specs: Vec<SyntheticSpec> = (0..4)
+        .map(|i| SyntheticSpec {
+            sm_demand: 0.25 + 0.2 * i as f64,
+            bw_demand: 0.1 + 0.1 * i as f64,
+            duty_cycle: 0.6,
+            duration: 0.8 + 0.3 * i as f64,
+            memory_mib: 256,
+            kernels: 4,
+            cache_sensitivity: 0.3,
+            client_sensitivity: 0.05,
+        })
+        .collect();
+    let mut faults = FaultPlan::new();
+    faults.push_client_fault(Seconds::new(0.7), 2);
+    let layout = MigLayout::new(&d, &[MigProfile::ThreeSlice, MigProfile::FourSlice]).unwrap();
+    let mechanisms: Vec<(&str, GpuSharing)> = vec![
+        ("sequential", GpuSharing::Sequential),
+        (
+            "timesliced",
+            GpuSharing::TimeSliced(TimeSliceConfig::driver_default()),
+        ),
+        ("mps", GpuSharing::mps_default(4)),
+        ("streams", GpuSharing::Streams),
+        (
+            "mig",
+            GpuSharing::Mig {
+                layout,
+                assignment: vec![0, 1, 0, 1],
+            },
+        ),
+    ];
+    for (name, sharing) in &mechanisms {
+        for (variant, lead_in, plan) in [
+            ("plain", 0.0, FaultPlan::new()),
+            ("faulted", 0.0, faults.clone()),
+            ("idle lead-in", 0.4, FaultPlan::new()),
+        ] {
+            let what = format!("{name} ({variant})");
+            let mut programs = programs_for(&specs);
+            for (i, p) in programs.iter_mut().enumerate() {
+                p.arrival = Seconds::new(lead_in + 0.05 * lead_in * i as f64);
+            }
+            let result = GpuRunner::new(d.clone())
+                .run_with_faults(sharing, programs, &plan)
+                .unwrap();
+            assert!(!result.telemetry.is_empty(), "{what}");
+            if lead_in > 0.0 {
+                let first = result.telemetry.get(0).unwrap();
+                assert_eq!(first.active_clients, 0, "{what}: idle lead-in");
+            }
+            assert_totals_match_folds(&result.telemetry, &what);
+
+            let json = serde_json::to_string(&result).unwrap();
+            let back: RunResult = serde_json::from_str(&json).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), json, "{what}");
+            assert_totals_match_folds(&back.telemetry, &format!("{what} round trip"));
+            assert_eq!(
+                back.telemetry.total_energy().joules().to_bits(),
+                result.telemetry.total_energy().joules().to_bits(),
+                "{what}: round-trip energy"
+            );
+        }
+    }
 }
