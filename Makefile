@@ -43,12 +43,11 @@ doc:
 # proves the steady-state engine contract (zero heap allocations per
 # `step()` with recycled scratch, under MPS and under time slicing).
 # Release mode is required: debug builds run the engine's self-checking
-# cross-validation paths, which allocate by design. One test thread: the
-# counter is process-wide, and with parallel tests the harness thread's
-# result bookkeeping for one finished test can land inside the next
-# test's measured window.
+# cross-validation paths, which allocate by design. The counter and its
+# armed flag are per thread, so the tests run in parallel: another
+# thread's allocations never land in a measured window.
 alloc-gate:
-	$(CARGO) test -q --release --test alloc_gate -- --test-threads=1
+	$(CARGO) test -q --release --test alloc_gate
 
 # The end-to-end benchmark (mpshare-benchmark/, driven by BENCHMARK.json)
 # is its own workspace, so `cargo build --workspace` never compiles it:

@@ -2,7 +2,8 @@
 //! with client count, end-to-end engine event throughput (including a
 //! gap-heavy run that stresses the resident-set rate cache and a
 //! time-sliced run dominated by quantum rotations), exhaustive
-//! planning at n = 10, and memoized vs from-scratch plan scoring.
+//! planning at n = 10 and 12, and greedy and best-fit planning at the
+//! 48-client maximum.
 //!
 //! `make bench` runs this with `MPSHARE_BENCH_JSON` set, committing the
 //! per-scenario medians to `BENCH_engine.json`.
@@ -196,7 +197,8 @@ fn bench_plan_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("planner/search");
 
     // Exhaustive set-partition search at n = 10 (Bell(10) = 115 975
-    // candidate partitions, all scored through the subset memo).
+    // candidate partitions, each group's estimate grown one member at a
+    // time from running totals).
     let profiles10 = profiled_queue(&device, 42, 10);
     let planner = Planner::new(device.clone(), MetricPriority::balanced_product());
     group.bench_function("exhaustive_n10", |b| {
@@ -224,8 +226,8 @@ fn bench_plan_search(c: &mut Criterion) {
     });
 
     // Constructive planning at the device's 48-client maximum: the
-    // best-fit cap sweep re-estimates the same trial groups for every
-    // cap, the heaviest consumer of the shared memo.
+    // best-fit cap sweep estimates a trial group (current totals plus one
+    // candidate) for every candidate at every step of every cap.
     let profiles48 = profiled_queue(&device, 77, 48);
     group.bench_function("greedy_n48", |b| {
         b.iter(|| black_box(planner.plan(&profiles48, PlannerStrategy::Greedy).unwrap()))

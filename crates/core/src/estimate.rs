@@ -15,9 +15,10 @@
 //! real thing. Its only job is to order candidates the same way the
 //! simulator would, which the planner tests verify.
 
+use crate::interference::{InterferenceKind, InterferenceReport};
 use crate::wprofile::WorkflowProfile;
 use mpshare_gpusim::DeviceSpec;
-use mpshare_types::{Energy, Seconds};
+use mpshare_types::{Energy, MemBytes, Seconds};
 use serde::{Deserialize, Serialize};
 
 /// Predicted outcome of running one collocation group under MPS.
@@ -25,7 +26,113 @@ use serde::{Deserialize, Serialize};
 pub struct GroupEstimate {
     pub makespan: Seconds,
     pub energy: Energy,
-    pub tasks: usize,
+}
+
+/// Running sums over a group's members: everything the estimator and the
+/// interference rule read of a group. Every planner strategy grows a group
+/// by adding one member's precomputed totals ([`GroupTotals::of`]), so a
+/// candidate group costs O(1) instead of a pass over its members.
+///
+/// # Bit identity
+///
+/// Adding members one at a time reproduces the per-field folds over the
+/// member list bit for bit: the float sums start at `-0.0`, the identity
+/// `Sum for f64` folds from, and add in member order; memory is an integer
+/// sum. The makespan is `max_duration × stretch` where the per-member
+/// form is `fold(0.0, max)` over `duration × stretch`: multiplying by the
+/// stretch (≥ 1, finite) preserves every value's sign and order under
+/// monotone rounding, and only merges values into bit-equal ones, so each
+/// `max` picks the same (or a bit-equal) operand either way. That needs
+/// non-negative, non-NaN durations: `Seconds::new` rejects the others, and
+/// `Planner::validate_profiles` re-checks every profile it plans.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct GroupTotals {
+    sm_sum: f64,
+    bw_sum: f64,
+    pub(crate) memory_sum: MemBytes,
+    pub(crate) count: usize,
+    max_duration: f64,
+    dynamic_energy: f64,
+}
+
+impl GroupTotals {
+    /// The empty group.
+    pub(crate) const EMPTY: GroupTotals = GroupTotals {
+        sm_sum: -0.0,
+        bw_sum: -0.0,
+        memory_sum: MemBytes::ZERO,
+        count: 0,
+        max_duration: 0.0,
+        dynamic_energy: -0.0,
+    };
+
+    /// One workflow's contribution, to be [`GroupTotals::add`]ed to a
+    /// group (starting from [`GroupTotals::EMPTY`]).
+    pub(crate) fn of(device: &DeviceSpec, p: &WorkflowProfile) -> GroupTotals {
+        GroupTotals {
+            sm_sum: p.avg_sm_util.value(),
+            bw_sum: p.avg_bw_util.value(),
+            memory_sum: p.max_memory,
+            count: 1,
+            max_duration: p.duration.value(),
+            dynamic_energy: p.dynamic_energy(device.idle_power).joules(),
+        }
+    }
+
+    /// The totals of `group`, added in member order.
+    pub(crate) fn fold<'a>(
+        device: &DeviceSpec,
+        group: impl IntoIterator<Item = &'a WorkflowProfile>,
+    ) -> GroupTotals {
+        let mut totals = GroupTotals::EMPTY;
+        for p in group {
+            totals.add(&GroupTotals::of(device, p));
+        }
+        totals
+    }
+
+    /// Appends one member, given as its [`GroupTotals::of`].
+    pub(crate) fn add(&mut self, member: &GroupTotals) {
+        self.sm_sum += member.sm_sum;
+        self.bw_sum += member.bw_sum;
+        self.memory_sum += member.memory_sum;
+        self.count += member.count;
+        self.max_duration = self.max_duration.max(member.max_duration);
+        self.dynamic_energy += member.dynamic_energy;
+    }
+
+    /// The group's estimate (see [`estimate_group`]).
+    pub(crate) fn estimate(&self, device: &DeviceSpec) -> GroupEstimate {
+        let stretch = (self.sm_sum / 100.0).max(self.bw_sum / 100.0).max(1.0);
+        // Equal bit for bit to the longest stretched duration (type docs).
+        let makespan = self.max_duration * stretch;
+        let energy = device.idle_power.watts() * makespan + self.dynamic_energy;
+        GroupEstimate {
+            makespan: Seconds::new(makespan),
+            energy: Energy::from_joules(energy),
+        }
+    }
+
+    /// The paper's interference rule on the group (see
+    /// [`crate::interference::predict`]).
+    pub(crate) fn interference(&self, device: &DeviceSpec) -> InterferenceReport {
+        let mut kinds = Vec::new();
+        if self.sm_sum > 100.0 {
+            kinds.push(InterferenceKind::Compute);
+        }
+        if self.bw_sum > 100.0 {
+            kinds.push(InterferenceKind::MemoryBandwidth);
+        }
+        if self.memory_sum > device.memory_capacity {
+            kinds.push(InterferenceKind::MemoryCapacity);
+        }
+        InterferenceReport {
+            sm_sum: self.sm_sum,
+            bw_sum: self.bw_sum,
+            memory_sum: self.memory_sum,
+            kinds,
+        }
+    }
 }
 
 /// Estimates a group's makespan and energy under MPS collocation, from the
@@ -36,32 +143,7 @@ pub struct GroupEstimate {
 /// estimated and simulated makespans differ by that factor on top of the
 /// contention model's error.
 pub fn estimate_group(device: &DeviceSpec, group: &[&WorkflowProfile]) -> GroupEstimate {
-    if group.is_empty() {
-        return GroupEstimate {
-            makespan: Seconds::ZERO,
-            energy: Energy::ZERO,
-            tasks: 0,
-        };
-    }
-    let sm_sum: f64 = group.iter().map(|p| p.avg_sm_util.value()).sum();
-    let bw_sum: f64 = group.iter().map(|p| p.avg_bw_util.value()).sum();
-    let stretch = (sm_sum / 100.0).max(bw_sum / 100.0).max(1.0);
-
-    let makespan = group
-        .iter()
-        .map(|p| p.duration.value() * stretch)
-        .fold(0.0, f64::max);
-    let dynamic: f64 = group
-        .iter()
-        .map(|p| p.dynamic_energy(device.idle_power).joules())
-        .sum();
-    let energy = device.idle_power.watts() * makespan + dynamic;
-
-    GroupEstimate {
-        makespan: Seconds::new(makespan),
-        energy: Energy::from_joules(energy),
-        tasks: group.iter().map(|p| p.task_count).sum(),
-    }
+    GroupTotals::fold(device, group.iter().copied()).estimate(device)
 }
 
 /// Estimates the sequential baseline for the same workflows: durations and
@@ -70,7 +152,6 @@ pub fn estimate_sequential(group: &[&WorkflowProfile]) -> GroupEstimate {
     GroupEstimate {
         makespan: Seconds::new(group.iter().map(|p| p.duration.value()).sum()),
         energy: Energy::from_joules(group.iter().map(|p| p.energy.joules()).sum()),
-        tasks: group.iter().map(|p| p.task_count).sum(),
     }
 }
 
@@ -102,7 +183,7 @@ mod tests {
     fn empty_group_estimates_zero() {
         let e = estimate_group(&dev(), &[]);
         assert_eq!(e.makespan, Seconds::ZERO);
-        assert_eq!(e.tasks, 0);
+        assert_eq!(e.energy, Energy::ZERO);
     }
 
     #[test]
@@ -110,7 +191,6 @@ mod tests {
         let (a, b) = (profile(30.0, 10.0, 150.0), profile(40.0, 6.0, 160.0));
         let e = estimate_group(&dev(), &[&a, &b]);
         assert!((e.makespan.value() - 10.0).abs() < 1e-9);
-        assert_eq!(e.tasks, 4);
     }
 
     #[test]

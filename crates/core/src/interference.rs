@@ -6,6 +6,7 @@
 //! memory capacity."* The same rule generalizes to groups of any size by
 //! summing.
 
+use crate::estimate::GroupTotals;
 use crate::wprofile::WorkflowProfile;
 use mpshare_gpusim::DeviceSpec;
 use mpshare_types::MemBytes;
@@ -67,26 +68,7 @@ impl InterferenceReport {
 /// assert!(report.sm_sum < 100.0);
 /// ```
 pub fn predict(device: &DeviceSpec, group: &[&WorkflowProfile]) -> InterferenceReport {
-    let sm_sum: f64 = group.iter().map(|p| p.avg_sm_util.value()).sum();
-    let bw_sum: f64 = group.iter().map(|p| p.avg_bw_util.value()).sum();
-    let memory_sum: MemBytes = group.iter().map(|p| p.max_memory).sum();
-
-    let mut kinds = Vec::new();
-    if sm_sum > 100.0 {
-        kinds.push(InterferenceKind::Compute);
-    }
-    if bw_sum > 100.0 {
-        kinds.push(InterferenceKind::MemoryBandwidth);
-    }
-    if memory_sum > device.memory_capacity {
-        kinds.push(InterferenceKind::MemoryCapacity);
-    }
-    InterferenceReport {
-        sm_sum,
-        bw_sum,
-        memory_sum,
-        kinds,
-    }
+    GroupTotals::fold(device, group.iter().copied()).interference(device)
 }
 
 #[cfg(test)]

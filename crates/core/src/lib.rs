@@ -32,7 +32,6 @@ pub mod deps;
 pub mod estimate;
 pub mod executor;
 pub mod interference;
-pub mod memo;
 pub mod metrics;
 pub mod node;
 pub mod online;
@@ -47,7 +46,6 @@ pub use deps::{plan_with_dependencies, validate_dependencies, Dependency};
 pub use estimate::{estimate_group, GroupEstimate};
 pub use executor::{EvaluationReport, Executor, ExecutorConfig, RunOutcome, WorkflowLatency};
 pub use interference::{predict, InterferenceKind, InterferenceReport};
-pub use memo::{EstimateMemo, GroupKey, MemoStats};
 pub use metrics::{Metrics, ProductMetric};
 pub use node::{distribute_plan, relative_throughput, NodeExecutor, NodeOutcome, NodePlan};
 pub use online::{

@@ -17,9 +17,7 @@
 //!   returns the best. Ground truth for small queues; the planner tests
 //!   check greedy stays close to it.
 
-use crate::estimate::{estimate_group, estimate_sequential, GroupEstimate};
-use crate::interference::predict;
-use crate::memo::{EstimateMemo, GroupKey};
+use crate::estimate::{estimate_sequential, GroupEstimate, GroupTotals};
 use crate::policy::MetricPriority;
 use crate::rightsize::PartitionStrategy;
 use crate::wprofile::WorkflowProfile;
@@ -165,28 +163,21 @@ impl Planner {
         }
         Self::validate_profiles(profiles)?;
         mpshare_obs::counter_add(mpshare_obs::names::PLAN_CALLS, 1);
-        let memo = &EstimateMemo::new();
+        let greedy = || self.best_over_caps(profiles, |cap| self.greedy_with_cap(profiles, cap));
+        let bestfit = || self.best_over_caps(profiles, |cap| self.bestfit_capped(profiles, cap));
         let plan = match strategy {
-            PlannerStrategy::Greedy => self.plan_greedy(profiles, memo)?,
-            PlannerStrategy::BestFit => self.plan_bestfit(profiles, memo)?,
+            PlannerStrategy::Greedy => greedy()?,
+            PlannerStrategy::BestFit => bestfit()?,
             PlannerStrategy::Auto => {
-                // One memo spans both legs: the cap sweeps re-try many of
-                // the same groups, and the final comparison scores are all
-                // hits.
-                let (greedy, bestfit) = mpshare_par::join(
-                    || self.plan_greedy(profiles, memo),
-                    || self.plan_bestfit(profiles, memo),
-                );
+                let (greedy, bestfit) = mpshare_par::join(greedy, bestfit);
                 let (greedy, bestfit) = (greedy?, bestfit?);
-                if self.score_plan_memo(&bestfit, profiles, memo)
-                    > self.score_plan_memo(&greedy, profiles, memo)
-                {
+                if self.score_plan(&bestfit, profiles) > self.score_plan(&greedy, profiles) {
                     bestfit
                 } else {
                     greedy
                 }
             }
-            PlannerStrategy::Exhaustive => self.plan_exhaustive(profiles, memo)?,
+            PlannerStrategy::Exhaustive => self.plan_exhaustive(profiles)?,
         };
         plan.validate(&self.device, profiles)?;
         self.emit_plan_obs(strategy, &plan, profiles);
@@ -243,43 +234,21 @@ impl Planner {
         Ok(())
     }
 
-    /// The paper's greedy algorithm, sweeping cardinality caps when the
-    /// priority calls for it. Caps are independent candidates, so they are
-    /// built and scored on worker threads; the in-order strictly-greater
-    /// reduction keeps the earliest maximum, matching the serial sweep
-    /// bit for bit.
-    fn plan_greedy(
+    /// Builds one plan per cardinality cap the priority calls for (the
+    /// paper's greedy algorithm or best-fit) and keeps the best-scoring
+    /// one. Caps are independent candidates, so they are built and scored
+    /// on worker threads; the in-order strictly-greater reduction keeps
+    /// the earliest maximum, matching the serial sweep bit for bit.
+    fn best_over_caps(
         &self,
         profiles: &[WorkflowProfile],
-        memo: &EstimateMemo,
+        plan_with_cap: impl Fn(usize) -> SchedulePlan + Sync,
     ) -> Result<SchedulePlan> {
         let seq = Self::sequential_baseline(profiles);
         let caps = self.priority.candidate_caps(&self.device);
         let scored = mpshare_par::par_map(&caps, |&cap| {
-            let plan = self.greedy_with_cap(profiles, cap);
-            let score = self.score_groups(&plan, profiles, &seq, memo);
-            (score, plan)
-        });
-        Self::first_best(scored).ok_or_else(|| {
-            Error::PlanViolation(format!(
-                "priority {:?} produced no cardinality-cap candidates",
-                self.priority
-            ))
-        })
-    }
-
-    /// Estimator-guided best-fit packing, sweeping the priority's caps in
-    /// parallel like [`Planner::plan_greedy`].
-    fn plan_bestfit(
-        &self,
-        profiles: &[WorkflowProfile],
-        memo: &EstimateMemo,
-    ) -> Result<SchedulePlan> {
-        let seq = Self::sequential_baseline(profiles);
-        let caps = self.priority.candidate_caps(&self.device);
-        let scored = mpshare_par::par_map(&caps, |&cap| {
-            let plan = self.bestfit_capped(profiles, cap, memo);
-            let score = self.score_groups(&plan, profiles, &seq, memo);
+            let plan = plan_with_cap(cap);
+            let score = self.score_groups(&plan, profiles, &seq);
             (score, plan)
         });
         Self::first_best(scored).ok_or_else(|| {
@@ -308,12 +277,7 @@ impl Planner {
     /// its solo duration minus the predicted growth of the group's
     /// makespan — is largest and positive. Only the hard constraints
     /// (memory, client cap) gate admission.
-    fn bestfit_capped(
-        &self,
-        profiles: &[WorkflowProfile],
-        cap: usize,
-        memo: &EstimateMemo,
-    ) -> SchedulePlan {
+    fn bestfit_capped(&self, profiles: &[WorkflowProfile], cap: usize) -> SchedulePlan {
         let cap = cap.clamp(1, self.device.max_mps_clients.max(1));
         let mut order: Vec<usize> = (0..profiles.len()).collect();
         // NaN durations are rejected by `validate_profiles` before any
@@ -339,6 +303,7 @@ impl Planner {
                 && p.avg_bw_util.value() >= 0.0
         });
 
+        let member_totals = self.member_totals(profiles);
         let mut assigned = vec![false; profiles.len()];
         let mut groups = Vec::new();
         for &seed in &order {
@@ -347,14 +312,13 @@ impl Planner {
             }
             assigned[seed] = true;
             let mut members = vec![seed];
-            let mut trial_members = Vec::new();
+            let mut group_totals = GroupTotals::EMPTY;
+            group_totals.add(&member_totals[seed]);
             loop {
                 if members.len() >= cap {
                     break;
                 }
-                let current = self.estimate_members(&members, profiles, memo);
-                let group_memory: mpshare_types::MemBytes =
-                    members.iter().map(|&i| profiles[i].max_memory).sum();
+                let current = group_totals.estimate(&self.device);
 
                 let mut best_candidate: Option<(f64, usize)> = None;
                 for &cand in &order {
@@ -372,7 +336,9 @@ impl Planner {
                             }
                         }
                     }
-                    if group_memory + profiles[cand].max_memory > self.device.memory_capacity {
+                    let mut trial = group_totals;
+                    trial.add(&member_totals[cand]);
+                    if trial.memory_sum > self.device.memory_capacity {
                         if mpshare_obs::enabled() {
                             mpshare_obs::counter_add(mpshare_obs::names::PLAN_CANDIDATES, 1);
                             mpshare_obs::counter_add(mpshare_obs::names::PLAN_REJECTS, 1);
@@ -396,10 +362,7 @@ impl Planner {
                         }
                         continue;
                     }
-                    trial_members.clear();
-                    trial_members.extend_from_slice(&members);
-                    trial_members.push(cand);
-                    let with = self.estimate_members(&trial_members, profiles, memo);
+                    let with = trial.estimate(&self.device);
                     // Saving = sequential cost of the candidate minus the
                     // growth it causes in the group's makespan.
                     let saving = profiles[cand].duration.value()
@@ -441,17 +404,12 @@ impl Planner {
                     Some((_, cand)) => {
                         assigned[cand] = true;
                         members.push(cand);
+                        group_totals.add(&member_totals[cand]);
                     }
                     None => break,
                 }
             }
-            let member_profiles: Vec<&WorkflowProfile> =
-                members.iter().map(|&i| &profiles[i]).collect();
-            let partitions = self.partition_strategy.partitions(&member_profiles);
-            groups.push(PlanGroup {
-                workflow_indices: members,
-                partitions,
-            });
+            groups.push(self.plan_group(members, profiles));
         }
         SchedulePlan { groups }
     }
@@ -474,6 +432,7 @@ impl Planner {
         });
 
         let cap = cap.clamp(1, self.device.max_mps_clients.max(1));
+        let member_totals = self.member_totals(profiles);
         let mut assigned = vec![false; profiles.len()];
         let mut groups = Vec::new();
         for &seed in &order {
@@ -482,16 +441,17 @@ impl Planner {
             }
             assigned[seed] = true;
             let mut members = vec![seed];
+            let mut group_totals = GroupTotals::EMPTY;
+            group_totals.add(&member_totals[seed]);
             for &cand in &order {
                 if assigned[cand] || members.len() >= cap {
                     continue;
                 }
-                let mut trial: Vec<&WorkflowProfile> =
-                    members.iter().map(|&i| &profiles[i]).collect();
-                trial.push(&profiles[cand]);
+                let mut trial = group_totals;
+                trial.add(&member_totals[cand]);
                 // Criteria 2 & 3: stay under 100 % combined compute/BW and
                 // under memory capacity.
-                let prediction = predict(&self.device, &trial);
+                let prediction = trial.interference(&self.device);
                 let accepted = prediction.is_compatible();
                 if mpshare_obs::enabled() {
                     mpshare_obs::counter_add(mpshare_obs::names::PLAN_CANDIDATES, 1);
@@ -525,15 +485,10 @@ impl Planner {
                 if accepted {
                     assigned[cand] = true;
                     members.push(cand);
+                    group_totals = trial;
                 }
             }
-            let member_profiles: Vec<&WorkflowProfile> =
-                members.iter().map(|&i| &profiles[i]).collect();
-            let partitions = self.partition_strategy.partitions(&member_profiles);
-            groups.push(PlanGroup {
-                workflow_indices: members,
-                partitions,
-            });
+            groups.push(self.plan_group(members, profiles));
         }
         SchedulePlan { groups }
     }
@@ -554,11 +509,7 @@ impl Planner {
     /// incumbent rule are those of a plain brute-force enumeration, so the
     /// returned plan is identical to it; `tests/perf_equivalence.rs` holds
     /// that brute-force reference and pins the equality.
-    fn plan_exhaustive(
-        &self,
-        profiles: &[WorkflowProfile],
-        memo: &EstimateMemo,
-    ) -> Result<SchedulePlan> {
+    fn plan_exhaustive(&self, profiles: &[WorkflowProfile]) -> Result<SchedulePlan> {
         const MAX_N: usize = 12;
         // 4 fixed positions → 15 independent sub-enumerations (Bell(4)).
         const PREFIX_LEN: usize = 4;
@@ -579,12 +530,17 @@ impl Planner {
         let seq = Self::sequential_baseline(profiles);
         let bound = self.exhaustive_bound(profiles, &seq);
         let local_bests = mpshare_par::par_map(&prefixes, |(prefix, max_used)| {
-            self.exhaustive_worker_pruned(profiles, &seq, memo, bound.as_ref(), prefix, *max_used)
+            self.exhaustive_worker_pruned(profiles, &seq, bound.as_ref(), prefix, *max_used)
         });
 
         let groups = Self::first_best(local_bests.into_iter().flatten())
             .ok_or_else(|| Error::PlanViolation("no feasible partition exists".into()))?;
-        Ok(self.materialize(&groups, profiles))
+        Ok(SchedulePlan {
+            groups: groups
+                .into_iter()
+                .map(|members| self.plan_group(members, profiles))
+                .collect(),
+        })
     }
 
     /// One worker's branch-and-bound sub-enumeration: a DFS in
@@ -597,25 +553,18 @@ impl Planner {
         &self,
         profiles: &[WorkflowProfile],
         seq: &GroupEstimate,
-        memo: &EstimateMemo,
         bound: Option<&ExhaustiveBound>,
         prefix: &[usize],
         prefix_max: usize,
     ) -> Option<(f64, Vec<Vec<usize>>)> {
-        let n = profiles.len();
         let mut search = BranchAndBound {
             planner: self,
-            profiles,
+            member_totals: self.member_totals(profiles),
             seq,
-            memo,
             bound,
-            dense: vec![None; 1usize << n],
             groups: Vec::new(),
-            group_mem: Vec::new(),
-            group_ms: Vec::new(),
-            group_en: Vec::new(),
+            slots: Vec::new(),
             best: None,
-            n,
         };
         // Seed the fixed prefix positions. A hard-constraint violation
         // here voids the whole sub-tree — exactly as every leaf below it
@@ -629,8 +578,8 @@ impl Planner {
 
     /// Precomputes the admissible-bound ingredients for one exhaustive
     /// call, or `None` when the preconditions for bound validity do not
-    /// hold (negative/non-finite inputs, non-positive baseline) — the
-    /// search then runs without score pruning.
+    /// hold (non-finite or negative idle power, non-positive baseline) —
+    /// the search then runs without score pruning.
     fn exhaustive_bound(
         &self,
         profiles: &[WorkflowProfile],
@@ -651,25 +600,13 @@ impl Planner {
         }
         let n = profiles.len();
         let mut r_total = 0.0;
+        // `validate_profiles` ran first, so every duration, utilization
+        // and energy is finite and non-negative, and with a finite idle
+        // power so is every dynamic energy.
         for p in profiles {
-            let dur = p.duration.value();
-            let sm = p.avg_sm_util.value();
-            let bw = p.avg_bw_util.value();
-            let dyn_e = p.dynamic_energy(idle).joules();
-            let ok = dur >= 0.0
-                && dur.is_finite()
-                && sm >= 0.0
-                && sm.is_finite()
-                && bw >= 0.0
-                && bw.is_finite()
-                && dyn_e >= 0.0
-                && dyn_e.is_finite();
-            if !ok {
-                return None;
-            }
             // Any group's makespan ≥ max_dur · (Σsm/100) ≥ Σ dur_i·sm_i/100,
             // so the whole-queue sum floors every partition's total.
-            r_total += dur * (sm / 100.0);
+            r_total += p.duration.value() * (p.avg_sm_util.value() / 100.0);
         }
         let mut dyn_suffix = vec![0.0; n + 1];
         for i in (0..n).rev() {
@@ -687,47 +624,19 @@ impl Planner {
         })
     }
 
-    fn materialize(&self, groups: &[Vec<usize>], profiles: &[WorkflowProfile]) -> SchedulePlan {
-        SchedulePlan {
-            groups: groups
-                .iter()
-                .map(|members| {
-                    let member_profiles: Vec<&WorkflowProfile> =
-                        members.iter().map(|&i| &profiles[i]).collect();
-                    PlanGroup {
-                        workflow_indices: members.clone(),
-                        partitions: self.partition_strategy.partitions(&member_profiles),
-                    }
-                })
-                .collect(),
+    /// The plan group of `members`, with right-sized partitions.
+    fn plan_group(&self, members: Vec<usize>, profiles: &[WorkflowProfile]) -> PlanGroup {
+        let member_profiles: Vec<&WorkflowProfile> =
+            members.iter().map(|&i| &profiles[i]).collect();
+        PlanGroup {
+            partitions: self.partition_strategy.partitions(&member_profiles),
+            workflow_indices: members,
         }
     }
 
     /// Scores a plan with the analytic estimator under the priority.
     pub fn score_plan(&self, plan: &SchedulePlan, profiles: &[WorkflowProfile]) -> f64 {
-        let seq = Self::sequential_baseline(profiles);
-        let mut makespan = 0.0;
-        let mut energy = 0.0;
-        for g in &plan.groups {
-            let members: Vec<&WorkflowProfile> =
-                g.workflow_indices.iter().map(|&i| &profiles[i]).collect();
-            let e = estimate_group(&self.device, &members);
-            makespan += e.makespan.value();
-            energy += e.energy.joules();
-        }
-        self.score_totals(&seq, makespan, energy)
-    }
-
-    /// Memoized form of [`Planner::score_plan`]: bit-identical result,
-    /// with per-group estimates fetched through (and cached in) `memo`.
-    pub fn score_plan_memo(
-        &self,
-        plan: &SchedulePlan,
-        profiles: &[WorkflowProfile],
-        memo: &EstimateMemo,
-    ) -> f64 {
-        let seq = Self::sequential_baseline(profiles);
-        self.score_groups(plan, profiles, &seq, memo)
+        self.score_groups(plan, profiles, &Self::sequential_baseline(profiles))
     }
 
     /// The score's reference point: everything run sequentially.
@@ -736,23 +645,16 @@ impl Planner {
         estimate_sequential(&all)
     }
 
-    /// Memoized estimate of one ordered member list. A hit returns the
-    /// value computed by the identical `estimate_group` call, so this is
-    /// interchangeable bit for bit with computing from scratch.
-    fn estimate_members(
-        &self,
-        members: &[usize],
-        profiles: &[WorkflowProfile],
-        memo: &EstimateMemo,
-    ) -> GroupEstimate {
-        memo.get_or_compute(GroupKey::new(members), || {
-            let refs: Vec<&WorkflowProfile> = members.iter().map(|&i| &profiles[i]).collect();
-            estimate_group(&self.device, &refs)
-        })
+    /// Every workflow's [`GroupTotals::of`], indexed like `profiles`.
+    fn member_totals(&self, profiles: &[WorkflowProfile]) -> Vec<GroupTotals> {
+        profiles
+            .iter()
+            .map(|p| GroupTotals::of(&self.device, p))
+            .collect()
     }
 
     /// Final score from summed per-group totals against the sequential
-    /// baseline (the tail of [`Planner::score_plan`]).
+    /// baseline.
     fn score_totals(&self, seq: &GroupEstimate, makespan: f64, energy: f64) -> f64 {
         if makespan <= 0.0 || energy <= 0.0 {
             return 0.0;
@@ -762,19 +664,19 @@ impl Planner {
         self.priority.score(throughput, efficiency)
     }
 
-    /// Scores a plan's member lists, summing group totals left to right in
-    /// group order — the same order [`Planner::score_plan`] uses.
+    /// Scores a plan's member lists, summing group estimates left to right
+    /// in group order.
     fn score_groups(
         &self,
         plan: &SchedulePlan,
         profiles: &[WorkflowProfile],
         seq: &GroupEstimate,
-        memo: &EstimateMemo,
     ) -> f64 {
         let mut makespan = 0.0;
         let mut energy = 0.0;
         for g in &plan.groups {
-            let e = self.estimate_members(&g.workflow_indices, profiles, memo);
+            let members = g.workflow_indices.iter().map(|&i| &profiles[i]);
+            let e = GroupTotals::fold(&self.device, members).estimate(&self.device);
             makespan += e.makespan.value();
             energy += e.energy.joules();
         }
@@ -829,11 +731,14 @@ struct ExhaustiveBound {
     seq_energy: f64,
 }
 
-/// Saved per-group state for undoing one [`BranchAndBound::push_member`].
-struct SavedGroup {
-    ms: f64,
-    en: f64,
-    mem: mpshare_types::MemBytes,
+/// One open group of a [`BranchAndBound`] search: its running totals and
+/// their estimate. A [`BranchAndBound::push_member`] returns the group's
+/// previous slot so the matching pop restores it.
+#[derive(Clone, Copy)]
+struct GroupSlot {
+    totals: GroupTotals,
+    makespan: f64,
+    energy: f64,
 }
 
 /// Depth-first branch-and-bound over one restricted-growth-string sub-tree.
@@ -845,74 +750,61 @@ struct SavedGroup {
 /// it), the surviving incumbent sequence — and hence the final best — is
 /// identical to the brute force's.
 ///
-/// Hard constraints (client count, memory) are checked as members are
-/// assigned: both only grow as a group gains members, so a violation at
-/// assignment time implies every leaf below would have failed the brute
-/// force's leaf check, making the skip exact even without a score bound.
+/// Hard constraints (client count, memory) are checked from the group's
+/// totals as members are assigned: both only grow as a group gains
+/// members, so a violation at assignment time implies every leaf below
+/// would have failed the brute force's leaf check, making the skip exact
+/// even without a score bound.
 struct BranchAndBound<'a> {
     planner: &'a Planner,
-    profiles: &'a [WorkflowProfile],
+    /// Every workflow's [`GroupTotals::of`], indexed by queue position.
+    member_totals: Vec<GroupTotals>,
     seq: &'a GroupEstimate,
-    memo: &'a EstimateMemo,
     bound: Option<&'a ExhaustiveBound>,
-    /// Dense front of the shared memo: with n ≤ 12 every group is an
-    /// ascending index list below 64, i.e. a subset mask that indexes this
-    /// table directly. A hit is an array load; only the first touch per
-    /// worker goes through the hashed memo shard (which dedups the actual
-    /// estimate across workers).
-    dense: Vec<Option<GroupEstimate>>,
-    /// Current partial grouping; slots beyond the live `max_used` may
-    /// linger empty (with zeroed totals) after backtracking.
+    /// Current partial grouping, parallel to `slots`; entries beyond the
+    /// live `max_used` may linger empty after backtracking.
     groups: Vec<Vec<usize>>,
-    group_mem: Vec<mpshare_types::MemBytes>,
-    group_ms: Vec<f64>,
-    group_en: Vec<f64>,
+    slots: Vec<GroupSlot>,
     best: Option<(f64, Vec<Vec<usize>>)>,
-    n: usize,
 }
 
 impl BranchAndBound<'_> {
-    /// Assigns position `pos` to group `g`, updating the group's cached
-    /// estimate. Returns `None` (state unchanged) when the assignment
-    /// violates a hard constraint.
-    fn push_member(&mut self, pos: usize, g: usize) -> Option<SavedGroup> {
+    /// Assigns position `pos` to group `g`, adding its totals to the
+    /// group's. Returns the group's previous slot, or `None` (state
+    /// unchanged) when the assignment violates a hard constraint.
+    fn push_member(&mut self, pos: usize, g: usize) -> Option<GroupSlot> {
         if g == self.groups.len() {
             self.groups.push(Vec::new());
-            self.group_mem.push(mpshare_types::MemBytes::ZERO);
-            self.group_ms.push(0.0);
-            self.group_en.push(0.0);
+            self.slots.push(GroupSlot {
+                totals: GroupTotals::EMPTY,
+                makespan: 0.0,
+                energy: 0.0,
+            });
         }
-        if self.groups[g].len() + 1 > self.planner.device.max_mps_clients {
+        let device = &self.planner.device;
+        let mut totals = self.slots[g].totals;
+        totals.add(&self.member_totals[pos]);
+        if totals.count > device.max_mps_clients || totals.memory_sum > device.memory_capacity {
             return None;
         }
-        let mem = self.group_mem[g] + self.profiles[pos].max_memory;
-        if mem > self.planner.device.memory_capacity {
-            return None;
-        }
-        let saved = SavedGroup {
-            ms: self.group_ms[g],
-            en: self.group_en[g],
-            mem: self.group_mem[g],
-        };
+        let e = totals.estimate(device);
         self.groups[g].push(pos);
-        self.group_mem[g] = mem;
-        let mask: usize = self.groups[g].iter().fold(0, |m, &i| m | (1 << i));
-        let (planner, profiles, memo) = (self.planner, self.profiles, self.memo);
-        let groups = &self.groups;
-        let e = self.dense[mask]
-            .get_or_insert_with(|| planner.estimate_members(&groups[g], profiles, memo));
-        self.group_ms[g] = e.makespan.value();
-        self.group_en[g] = e.energy.joules();
+        let saved = std::mem::replace(
+            &mut self.slots[g],
+            GroupSlot {
+                totals,
+                makespan: e.makespan.value(),
+                energy: e.energy.joules(),
+            },
+        );
         Some(saved)
     }
 
     /// Undoes the matching [`BranchAndBound::push_member`].
-    fn pop_member(&mut self, pos: usize, g: usize, saved: SavedGroup) {
+    fn pop_member(&mut self, pos: usize, g: usize, saved: GroupSlot) {
         let popped = self.groups[g].pop();
         debug_assert_eq!(popped, Some(pos));
-        self.group_mem[g] = saved.mem;
-        self.group_ms[g] = saved.ms;
-        self.group_en[g] = saved.en;
+        self.slots[g] = saved;
     }
 
     /// Whether the sub-tree below the current partial grouping (positions
@@ -924,14 +816,14 @@ impl BranchAndBound<'_> {
         };
         // Exact float lower bound on any descendant leaf's totals: per-group
         // estimates are append-monotone (all inputs non-negative — checked
-        // by `exhaustive_bound`), float folds of non-negative terms are
+        // by `validate_profiles`), float folds of non-negative terms are
         // monotone in each term, and the leaf folds groups in this same
         // index order, so the partial fold is a true prefix bound.
         let mut ms_part = 0.0;
         let mut en_part = 0.0;
-        for g in 0..used {
-            ms_part += self.group_ms[g];
-            en_part += self.group_en[g];
+        for slot in &self.slots[..used] {
+            ms_part += slot.makespan;
+            en_part += slot.energy;
         }
         let ms_lb = ms_part.max(b.r_total);
         // Unassigned dynamic energies land in some group eventually; the
@@ -953,15 +845,15 @@ impl BranchAndBound<'_> {
     /// Recursive search over positions `pos..n`, mirroring
     /// [`enumerate_prefixes`]'s `for g in 0..=max_used` order.
     fn dfs(&mut self, pos: usize, max_used: usize) {
-        if pos == self.n {
+        if pos == self.member_totals.len() {
             // Leaf: the group totals fold left to right in group order, as
             // `score_plan` sums them, under the strictly-greater incumbent
             // rule.
             let mut makespan = 0.0;
             let mut energy = 0.0;
-            for g in 0..max_used {
-                makespan += self.group_ms[g];
-                energy += self.group_en[g];
+            for slot in &self.slots[..max_used] {
+                makespan += slot.makespan;
+                energy += slot.energy;
             }
             let score = self.planner.score_totals(self.seq, makespan, energy);
             if self.best.as_ref().is_none_or(|(s, _)| score > *s) {

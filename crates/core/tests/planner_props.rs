@@ -3,8 +3,7 @@
 //! and hard constraints.
 
 use mpshare_core::{
-    estimate_group, EstimateMemo, MetricPriority, PartitionStrategy, Planner, PlannerStrategy,
-    WorkflowProfile,
+    estimate_group, MetricPriority, PartitionStrategy, Planner, PlannerStrategy, WorkflowProfile,
 };
 use mpshare_gpusim::DeviceSpec;
 use mpshare_types::{Energy, Fraction, MemBytes, Percent, Power, Seconds};
@@ -136,44 +135,6 @@ proptest! {
             prop_assert!(s.value() >= d.value() - 1e-12);
             prop_assert!(s.value() <= 1.0);
         }
-    }
-
-    /// Memoized scoring is bit-identical to scoring from scratch — for
-    /// every strategy's plans, with one memo shared across all of them so
-    /// both the miss and hit paths are exercised.
-    #[test]
-    fn memoized_scoring_matches_from_scratch(
-        profiles in prop::collection::vec(profile_strategy(), 1..8),
-    ) {
-        let d = device();
-        let memo = EstimateMemo::new();
-        for priority in [
-            MetricPriority::Throughput,
-            MetricPriority::Energy,
-            MetricPriority::balanced_product(),
-        ] {
-            let planner = Planner::new(d.clone(), priority);
-            for strategy in [
-                PlannerStrategy::Greedy,
-                PlannerStrategy::BestFit,
-                PlannerStrategy::Auto,
-                PlannerStrategy::Exhaustive,
-            ] {
-                let plan = planner.plan(&profiles, strategy).unwrap();
-                let scratch = planner.score_plan(&plan, &profiles);
-                let memoized = planner.score_plan_memo(&plan, &profiles, &memo);
-                prop_assert_eq!(memoized.to_bits(), scratch.to_bits(),
-                    "memoized {} != scratch {} ({:?})", memoized, scratch, strategy);
-                // Second scoring hits the cache for every group and must
-                // reproduce the same bits.
-                let again = planner.score_plan_memo(&plan, &profiles, &memo);
-                prop_assert_eq!(again.to_bits(), scratch.to_bits());
-            }
-        }
-        // Each plan was scored twice, so hits at least match misses.
-        let stats = memo.stats();
-        prop_assert!(stats.hits >= stats.misses,
-            "expected reuse: {} hits vs {} misses", stats.hits, stats.misses);
     }
 
     /// The estimator is monotone: adding a workflow to a group never

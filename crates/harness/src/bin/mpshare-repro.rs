@@ -294,7 +294,6 @@ fn validate_obs(
             for counter in [
                 names::PROFILE_CACHE_HITS,
                 names::PROFILE_CACHE_MISSES,
-                names::ESTIMATE_MEMO_HITS,
                 names::ENGINE_RUNS,
                 names::ENGINE_RATE_SOLVES,
                 names::FAULTS_INJECTED,

@@ -18,7 +18,11 @@ pub mod names {
     // Cache hit rates.
     pub const PROFILE_CACHE_HITS: &str = "mpshare_profile_cache_hits_total";
     pub const PROFILE_CACHE_MISSES: &str = "mpshare_profile_cache_misses_total";
+    /// No longer emitted (the planner keeps no estimate memo); kept,
+    /// reading 0, because `mpshare-benchmark/src/main.rs` reads it by name.
     pub const ESTIMATE_MEMO_HITS: &str = "mpshare_estimate_memo_hits_total";
+    /// No longer emitted; kept for the same reader as
+    /// [`ESTIMATE_MEMO_HITS`].
     pub const ESTIMATE_MEMO_MISSES: &str = "mpshare_estimate_memo_misses_total";
     // Engine hot-path counters (from `EngineStats`).
     pub const ENGINE_RUNS: &str = "mpshare_engine_runs_total";
@@ -171,8 +175,6 @@ impl MetricsRegistry {
         for name in [
             PROFILE_CACHE_HITS,
             PROFILE_CACHE_MISSES,
-            ESTIMATE_MEMO_HITS,
-            ESTIMATE_MEMO_MISSES,
             ENGINE_RUNS,
             ENGINE_EVENTS,
             ENGINE_RATE_SOLVES,
@@ -471,7 +473,6 @@ mod tests {
         let text = m.to_prometheus();
         for required in [
             names::PROFILE_CACHE_HITS,
-            names::ESTIMATE_MEMO_HITS,
             names::ENGINE_RATE_SOLVES,
             names::FAULTS_INJECTED,
             names::SCHED_RETRIES,

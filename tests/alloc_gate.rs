@@ -11,13 +11,14 @@
 //!
 //! The assertions only fire in release builds: debug builds run the
 //! engine's self-checking cross-validation paths, which allocate by
-//! design. `make check` runs this gate with `--release` on one test
-//! thread (the counter is process-wide, so the harness's own bookkeeping
-//! for a finished test must not overlap a measured window).
+//! design. `make check` runs this gate with `--release`. The armed flag
+//! and the counter are per thread: the engine steps on the measuring
+//! thread, so every allocation it makes is counted, while the test
+//! harness's bookkeeping on other threads never lands in a measured
+//! window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use mpshare::gpusim::{
     ClientProgram, DeviceSpec, Engine, EngineConfig, EngineScratch, SharingMode, ValidatedPrograms,
@@ -25,18 +26,26 @@ use mpshare::gpusim::{
 use mpshare::types::Fraction;
 use mpshare::workloads::SyntheticSpec;
 
-/// Passthrough to the system allocator that counts allocations (and
-/// growth reallocations) while armed.
+/// Passthrough to the system allocator that counts the calling thread's
+/// allocations (and growth reallocations) while that thread is armed.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // `const`-initialized and drop-free, so reading them from inside the
+    // allocator neither allocates nor registers a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_if_armed() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.alloc(layout)
     }
 
@@ -45,9 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,16 +62,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The gates share the one global counter; the test harness runs
-/// tests on separate threads, so measured regions must not overlap.
-static GATE_LOCK: Mutex<()> = Mutex::new(());
-
+/// Runs `f` armed on this thread and returns its allocation count.
 fn measured<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    let before = ALLOCS.with(Cell::get);
+    ARMED.with(|a| a.set(true));
     let out = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (out, ALLOCS.load(Ordering::SeqCst) - before)
+    ARMED.with(|a| a.set(false));
+    (out, ALLOCS.with(Cell::get) - before)
 }
 
 const CLIENTS: usize = 8;
@@ -121,7 +125,6 @@ fn timesliced_steady_state_is_alloc_free() {
 /// run must be bit-identical and allocate only its per-client completion
 /// pushes (release builds).
 fn assert_steady_state_alloc_free(config: EngineConfig, programs: Vec<ClientProgram>) {
-    let _serial = GATE_LOCK.lock().unwrap();
     let clients = programs.len();
 
     // Warm-up run grows every scratch buffer to this roster's size and

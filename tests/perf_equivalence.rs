@@ -8,10 +8,13 @@
 //! The plan search is compared against [`brute_force_plan`], a plain
 //! enumeration written here from the planner's public API only, and the
 //! telemetry's running totals against [`assert_totals_match_folds`], the
-//! per-aggregate folds over the segment list they replace.
+//! per-aggregate folds over the segment list they replace, and the group
+//! estimator's running totals against [`reference_estimate`] and
+//! [`reference_predict`], the per-field folds over a member list.
 
 use mpshare::core::{
-    MetricPriority, PlanGroup, Planner, PlannerStrategy, SchedulePlan, WorkflowProfile,
+    estimate_group, predict, InterferenceKind, InterferenceReport, MetricPriority, PlanGroup,
+    Planner, PlannerStrategy, SchedulePlan, WorkflowProfile,
 };
 use mpshare::gpusim::{
     ClientProgram, DeviceSpec, Engine, EngineConfig, EngineRun, EngineScratch, EngineStats,
@@ -610,5 +613,102 @@ fn telemetry_running_totals_equal_the_reference_folds() {
                 "{what}: round-trip energy"
             );
         }
+    }
+}
+
+/// `estimate_group` as per-field folds over the member list, the form the
+/// running group totals replace: `.sum()` per float field and the longest
+/// stretched duration by `fold(0.0, f64::max)`. Returns (makespan, energy).
+fn reference_estimate(device: &DeviceSpec, group: &[&WorkflowProfile]) -> (f64, f64) {
+    let sm_sum: f64 = group.iter().map(|p| p.avg_sm_util.value()).sum();
+    let bw_sum: f64 = group.iter().map(|p| p.avg_bw_util.value()).sum();
+    let stretch = (sm_sum / 100.0).max(bw_sum / 100.0).max(1.0);
+    let makespan = group
+        .iter()
+        .map(|p| p.duration.value() * stretch)
+        .fold(0.0, f64::max);
+    let dynamic: f64 = group
+        .iter()
+        .map(|p| p.dynamic_energy(device.idle_power).joules())
+        .sum();
+    (makespan, device.idle_power.watts() * makespan + dynamic)
+}
+
+/// `predict` as per-field folds over the member list.
+fn reference_predict(device: &DeviceSpec, group: &[&WorkflowProfile]) -> InterferenceReport {
+    let sm_sum: f64 = group.iter().map(|p| p.avg_sm_util.value()).sum();
+    let bw_sum: f64 = group.iter().map(|p| p.avg_bw_util.value()).sum();
+    let memory_sum: MemBytes = group.iter().map(|p| p.max_memory).sum();
+    let mut kinds = Vec::new();
+    if sm_sum > 100.0 {
+        kinds.push(InterferenceKind::Compute);
+    }
+    if bw_sum > 100.0 {
+        kinds.push(InterferenceKind::MemoryBandwidth);
+    }
+    if memory_sum > device.memory_capacity {
+        kinds.push(InterferenceKind::MemoryCapacity);
+    }
+    InterferenceReport {
+        sm_sum,
+        bw_sum,
+        memory_sum,
+        kinds,
+    }
+}
+
+/// Profiles for the estimator folds: each field is zero in about a third
+/// of draws (zero duration, utilization, memory, and so dynamic energy),
+/// and the rest span saturated and memory-infeasible groups.
+fn fold_profile_strategy() -> impl Strategy<Value = WorkflowProfile> {
+    // Each (selector, value) pair reads 0 when its selector draws 0.
+    let zero_or = |(pick, v): (u8, f64)| if pick == 0 { 0.0 } else { v };
+    (
+        (0u8..3, 0.0f64..=95.0),
+        (0u8..3, 0.0f64..=70.0),
+        (0u8..3, 1.0f64..=40.0),
+        (0u8..3, 0.0f64..=30.0),
+        75.0f64..=400.0,
+    )
+        .prop_map(move |(sm, bw, mem_gib, duration, power)| {
+            let (sm, bw, duration) = (zero_or(sm), zero_or(bw), zero_or(duration));
+            WorkflowProfile {
+                label: format!("fold-{sm:.0}-{bw:.0}"),
+                task_count: 1,
+                avg_sm_util: Percent::new(sm),
+                avg_bw_util: Percent::new(bw),
+                max_memory: MemBytes::from_gib(zero_or(mem_gib) as u64),
+                duration: Seconds::new(duration),
+                energy: Energy::from_joules(power * duration),
+                avg_power: Power::from_watts(power),
+                busy_fraction: 0.8,
+                saturation_partition: mpshare::types::Fraction::new(0.9),
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The estimator and the interference rule add members to running
+    /// group totals; on member lists of any order, that equals the
+    /// per-field folds bit for bit.
+    #[test]
+    fn group_totals_equal_the_reference_folds(
+        profiles in prop::collection::vec(fold_profile_strategy(), 1..=12),
+    ) {
+        let d = device();
+        let group: Vec<&WorkflowProfile> = profiles.iter().collect();
+        let e = estimate_group(&d, &group);
+        let (makespan, energy) = reference_estimate(&d, &group);
+        prop_assert_eq!(e.makespan.value().to_bits(), makespan.to_bits());
+        prop_assert_eq!(e.energy.joules().to_bits(), energy.to_bits());
+
+        let r = predict(&d, &group);
+        let reference = reference_predict(&d, &group);
+        prop_assert_eq!(r.sm_sum.to_bits(), reference.sm_sum.to_bits());
+        prop_assert_eq!(r.bw_sum.to_bits(), reference.bw_sum.to_bits());
+        prop_assert_eq!(r.memory_sum, reference.memory_sum);
+        prop_assert_eq!(r.kinds, reference.kinds);
     }
 }
