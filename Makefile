@@ -234,12 +234,15 @@ fuzz-smoke: build
 # Golden-output gate: the committed outputs must be reproduced byte for
 # byte. `mpshare-repro all` (parallel and --serial) and `report --serial`
 # must rebuild every file in results/, and `mpshare-sched --json` on the example and custom queues at
-# 1, 2 and 4 GPUs must print results/golden/sched-*.json. The 500-seed
+# 1, 2 and 4 GPUs must print results/golden/sched-*.json. The serial
+# report's `--timeline-out` export (about 67 MB, too large to commit) must
+# match the SHA-256 in results/golden/report-timeline.sha256. The 500-seed
 # fuzz report is checked against results/golden/ by fuzz-smoke, so the
 # campaign runs once. Parallel `report` is left out: its float gauge sums
 # run in thread order (ROADMAP item 3(a)), so it is not yet bit-stable.
 GOLDEN := .golden
 GOLDEN_FUZZ := fuzz-500.txt
+GOLDEN_TIMELINE := report-timeline
 GOLDEN_QUEUES := example custom
 GOLDEN_GPUS := 1 2 4
 golden: build fuzz-smoke
@@ -247,7 +250,9 @@ golden: build fuzz-smoke
 	@mkdir -p $(GOLDEN)
 	./target/release/mpshare-repro all --out $(GOLDEN)/all >/dev/null
 	./target/release/mpshare-repro all --serial --out $(GOLDEN)/all-serial >/dev/null
-	./target/release/mpshare-repro report --serial --out $(GOLDEN)/report >/dev/null
+	./target/release/mpshare-repro report --serial --out $(GOLDEN)/report \
+		--timeline-out $(GOLDEN)/$(GOLDEN_TIMELINE).json >/dev/null
+	cd $(GOLDEN) && sha256sum -c --quiet $(CURDIR)/results/golden/$(GOLDEN_TIMELINE).sha256
 	cp $(GOLDEN)/report/report.* $(GOLDEN)/all/
 	cp $(GOLDEN)/report/report.* $(GOLDEN)/all-serial/
 	diff -r --exclude=golden results $(GOLDEN)/all
@@ -266,8 +271,12 @@ golden: build fuzz-smoke
 # headline number in EXPERIMENTS.md.
 golden-update: build
 	./target/release/mpshare-repro all --out results >/dev/null
-	./target/release/mpshare-repro report --serial --out results >/dev/null
-	@mkdir -p results/golden
+	@rm -rf $(GOLDEN)
+	@mkdir -p $(GOLDEN) results/golden
+	./target/release/mpshare-repro report --serial --out results \
+		--timeline-out $(GOLDEN)/$(GOLDEN_TIMELINE).json >/dev/null
+	cd $(GOLDEN) && sha256sum $(GOLDEN_TIMELINE).json > $(CURDIR)/results/golden/$(GOLDEN_TIMELINE).sha256
+	@rm -rf $(GOLDEN)
 	@for q in $(GOLDEN_QUEUES); do for g in $(GOLDEN_GPUS); do \
 		./target/release/mpshare-sched configs/$${q}_queue.json --json --gpus $$g \
 			> results/golden/sched-$$q-gpus$$g.json 2>/dev/null || exit 1; \

@@ -51,20 +51,22 @@ pub fn build(tl: &TimelineStore, metrics: &MetricsRegistry) -> Report {
     let mut json_sections: Vec<(String, Value)> = Vec::new();
 
     // -- Device utilization ------------------------------------------------
-    let covered = tl.with_series(series::DEVICE_SM_UTIL, |s| s.covered());
-    let mean_sm = tl
-        .with_series(series::DEVICE_SM_UTIL, |s| s.time_weighted_mean())
-        .flatten();
-    let stranded = tl.with_series(series::DEVICE_SM_UTIL, |s| s.stranded(1.0));
+    let (covered, mean_sm, stranded, cdf) = tl
+        .with_series(series::DEVICE_SM_UTIL, |s| {
+            (
+                Some(s.covered()),
+                s.time_weighted_mean(),
+                Some(s.stranded(1.0)),
+                s.cdf(),
+            )
+        })
+        .unwrap_or_default();
     let mean_bw = tl
         .with_series(series::DEVICE_BW_UTIL, |s| s.time_weighted_mean())
         .flatten();
     let mean_power = tl
         .with_series(series::DEVICE_POWER_W, |s| s.time_weighted_mean())
         .flatten();
-    let cdf = tl
-        .with_series(series::DEVICE_SM_UTIL, |s| s.cdf())
-        .unwrap_or_default();
 
     let mut util = TextTable::new(["metric", "value"]);
     let fmt = |v: Option<f64>| match v {

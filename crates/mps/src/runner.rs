@@ -72,17 +72,24 @@ fn record_engine_run(
     // Timeline series: every piecewise-constant telemetry segment becomes
     // one span sample, so the store's integrals and utilization CDFs are
     // exact (no sampling). Device-level state feeds the global series and
-    // the per-mechanism occupancy track.
-    use mpshare_obs::series;
+    // the per-mechanism occupancy track, one column per series added
+    // under one store lock.
+    use mpshare_obs::{series, Sample};
     let tl = mpshare_obs::timelines();
-    let occupancy = series::occupancy(mode);
-    for s in result.telemetry.segments() {
+    let segments = result.telemetry.segments();
+    let n = segments.size_hint().0;
+    let [mut sm, mut bw, mut power] = [(); 3].map(|_| Vec::with_capacity(n));
+    for s in segments {
         let (t, dur) = (s.start.value(), s.duration().value());
-        tl.series_push_span(series::DEVICE_SM_UTIL, t, dur, s.sm_util);
-        tl.series_push_span(series::DEVICE_BW_UTIL, t, dur, s.bw_util);
-        tl.series_push_span(series::DEVICE_POWER_W, t, dur, s.power.watts());
-        tl.series_push_span(&occupancy, t, dur, s.sm_util);
+        let at = |v| Sample { t, dur, v };
+        sm.push(at(s.sm_util));
+        bw.push(at(s.bw_util));
+        power.push(at(s.power.watts()));
     }
+    tl.series_extend(series::DEVICE_SM_UTIL, &sm);
+    tl.series_extend(series::DEVICE_BW_UTIL, &bw);
+    tl.series_extend(series::DEVICE_POWER_W, &power);
+    tl.series_extend(&series::occupancy(mode), &sm);
     // Per-client state over the client's [started, finished] residency:
     // residency itself, the mechanism-granted SM share, and the mean
     // dynamic power over the residency (dyn_energy ÷ residency — exact as

@@ -147,6 +147,21 @@ impl Histogram {
     }
 }
 
+/// Applies `update` to the entry for `name`, creating it with `init` on
+/// first use. The key is allocated only when the entry is created, never
+/// on a hit.
+pub(crate) fn upsert<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    init: impl FnOnce() -> V,
+    update: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(value) => update(value),
+        None => update(map.entry(name.to_string()).or_insert_with(init)),
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
@@ -221,7 +236,7 @@ impl MetricsRegistry {
 
     pub fn counter_add(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().expect("metrics poisoned");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        upsert(&mut inner.counters, name, || 0, |c| *c += delta);
     }
 
     pub fn counter_get(&self, name: &str) -> u64 {
@@ -231,12 +246,12 @@ impl MetricsRegistry {
 
     pub fn gauge_set(&self, name: &str, v: f64) {
         let mut inner = self.inner.lock().expect("metrics poisoned");
-        inner.gauges.insert(name.to_string(), v);
+        upsert(&mut inner.gauges, name, || v, |g| *g = v);
     }
 
     pub fn gauge_add(&self, name: &str, v: f64) {
         let mut inner = self.inner.lock().expect("metrics poisoned");
-        *inner.gauges.entry(name.to_string()).or_insert(0.0) += v;
+        upsert(&mut inner.gauges, name, || 0.0, |g| *g += v);
     }
 
     pub fn gauge_get(&self, name: &str) -> f64 {
@@ -253,17 +268,16 @@ impl MetricsRegistry {
     /// bounds constant — so debug builds assert the layouts agree.
     pub fn histogram_observe(&self, name: &str, bounds: &[f64], v: f64) {
         let mut inner = self.inner.lock().expect("metrics poisoned");
-        let h = inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds));
-        debug_assert_eq!(
-            h.bounds(),
-            bounds,
-            "histogram {name:?} observed with a different bucket layout \
-             than it was created with (first layout wins)"
-        );
-        h.observe(v);
+        let init = || Histogram::new(bounds);
+        upsert(&mut inner.histograms, name, init, |h| {
+            debug_assert_eq!(
+                h.bounds(),
+                bounds,
+                "histogram {name:?} observed with a different bucket layout \
+                 than it was created with (first layout wins)"
+            );
+            h.observe(v);
+        });
     }
 
     pub fn histogram_count(&self, name: &str) -> u64 {

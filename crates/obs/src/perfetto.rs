@@ -257,31 +257,32 @@ pub fn control_events(records: &[ObsRecord]) -> Vec<TraceEvent> {
 /// start, values in the series' native unit. Deterministic — series
 /// iterate in name order, samples in canonical `(t, dur, v)` order.
 pub fn timeline_events(store: &TimelineStore) -> Vec<TraceEvent> {
-    let snapshot = store.series_snapshot();
-    if snapshot.is_empty() {
-        return Vec::new();
-    }
-    let mut events = vec![TraceEvent::meta(
-        "process_name",
-        TIMELINE_PID,
-        0,
-        "timeline",
-    )];
-    for (tid, (name, samples)) in snapshot.iter().enumerate() {
+    let mut events = Vec::new();
+    let mut tid = 0;
+    store.visit_series(|name, samples| {
+        if tid == 0 {
+            events.push(TraceEvent::meta(
+                "process_name",
+                TIMELINE_PID,
+                0,
+                "timeline",
+            ));
+        }
         for s in samples {
             events.push(TraceEvent {
-                name: name.clone(),
+                name: name.to_string(),
                 ph: "C",
                 ts: s.t * SECONDS_TO_US,
                 dur: None,
                 pid: TIMELINE_PID,
-                tid: tid as u64,
+                tid,
                 args: Some(serde_json::json!({ "value": s.v })),
                 cname: None,
                 s: None,
             });
         }
-    }
+        tid += 1;
+    });
     events
 }
 

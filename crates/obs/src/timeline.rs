@@ -41,8 +41,19 @@
 //! steady-state contract (`make alloc-gate`) is untouched. All buffers are
 //! capacity-capped with dropped-sample accounting, like the recorder's
 //! shards.
+//!
+//! Recording and reading cost O(samples) with no per-sample lock or
+//! allocation: the runner adds a run's telemetry as one column per series
+//! ([`TimelineStore::series_extend`], one lock and one name lookup), a
+//! name's key is allocated only when its series or track is created,
+//! reads sort the stored series in place (once, until the next
+//! out-of-order push) instead of a copy, and [`TimelineStore::reset`]
+//! keeps each series' emptied sample buffer for the next series of the
+//! same name.
 
+use crate::metrics::upsert;
 use serde_json::Value;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -93,20 +104,13 @@ pub struct Sample {
     pub v: f64,
 }
 
-fn sample_key(s: &Sample) -> (u64, u64, u64) {
-    // total_cmp-compatible ordering keys: all fields are finite and
-    // non-negative durations by construction, but map through the IEEE
-    // total order anyway so the sort is unconditionally well-defined.
-    (total_bits(s.t), total_bits(s.dur), total_bits(s.v))
-}
-
-fn total_bits(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 0 {
-        bits | 1 << 63
-    } else {
-        !bits
-    }
+/// The canonical `(t, dur, v)` order, each field in the IEEE total order.
+/// Later fields are compared only on ties, so most comparisons read `t`
+/// alone.
+fn canonical(a: &Sample, b: &Sample) -> Ordering {
+    a.t.total_cmp(&b.t)
+        .then_with(|| a.dur.total_cmp(&b.dur))
+        .then_with(|| a.v.total_cmp(&b.v))
 }
 
 /// Per-series sample cap: bounds store memory like the recorder's shard
@@ -141,6 +145,14 @@ impl TimeSeries {
         self.push_span(t, 0.0, v);
     }
 
+    /// Records every sample of `samples`, in order, exactly as a loop of
+    /// [`TimeSeries::push_span`] would.
+    pub fn extend(&mut self, samples: &[Sample]) {
+        for s in samples {
+            self.push_span(s.t, s.dur, s.v);
+        }
+    }
+
     /// Records `v` holding from `t` for `dur` seconds. Rejects non-finite
     /// fields and negative durations (counted as dropped).
     pub fn push_span(&mut self, t: f64, dur: f64, v: f64) {
@@ -154,7 +166,7 @@ impl TimeSeries {
         }
         let sample = Sample { t, dur, v };
         if let Some(last) = self.samples.last() {
-            if sample_key(last) > sample_key(&sample) {
+            if canonical(last, &sample).is_gt() {
                 self.sorted = false;
             }
         }
@@ -163,7 +175,7 @@ impl TimeSeries {
 
     fn finalize(&mut self) {
         if !self.sorted {
-            self.samples.sort_by_key(sample_key);
+            self.samples.sort_by(canonical);
             self.sorted = true;
         }
     }
@@ -469,6 +481,10 @@ struct StoreInner {
     series: BTreeMap<String, TimeSeries>,
     quantiles: BTreeMap<String, QuantileTrack>,
     dropped_names: u64,
+    /// Emptied sample buffers (and keys) of the series dropped by the last
+    /// `reset`, taken back by the next series of the same name. Invisible
+    /// to every read.
+    spare: BTreeMap<String, Vec<Sample>>,
 }
 
 /// The process-wide home of every timeline: named series and quantile
@@ -497,16 +513,34 @@ impl TimelineStore {
     /// Records a span sample into the named series, creating it on first
     /// use.
     pub fn series_push_span(&self, name: &str, t: f64, dur: f64, v: f64) {
+        self.series_extend(name, &[Sample { t, dur, v }]);
+    }
+
+    /// Records `samples` into the named series under one lock and one name
+    /// lookup, creating the series on first use. Equivalent to a loop of
+    /// [`TimelineStore::series_push_span`] over `samples`, drops and the
+    /// name cap included (an empty slice records nothing).
+    pub fn series_extend(&self, name: &str, samples: &[Sample]) {
+        if samples.is_empty() {
+            return;
+        }
         self.with_inner(|inner| {
-            if !inner.series.contains_key(name) && inner.series.len() >= STORE_NAME_CAPACITY {
-                inner.dropped_names += 1;
+            if let Some(series) = inner.series.get_mut(name) {
+                return series.extend(samples);
+            }
+            if inner.series.len() >= STORE_NAME_CAPACITY {
+                inner.dropped_names += samples.len() as u64;
                 return;
             }
-            inner
-                .series
-                .entry(name.to_string())
-                .or_default()
-                .push_span(t, dur, v);
+            let (key, buffer) = inner
+                .spare
+                .remove_entry(name)
+                .unwrap_or_else(|| (name.to_string(), Vec::new()));
+            let series = TimeSeries {
+                samples: buffer,
+                ..TimeSeries::new()
+            };
+            inner.series.entry(key).or_insert(series).extend(samples);
         });
     }
 
@@ -514,34 +548,33 @@ impl TimelineStore {
     /// on first use.
     pub fn quantile_observe(&self, name: &str, v: f64) {
         self.with_inner(|inner| {
-            if !inner.quantiles.contains_key(name) && inner.quantiles.len() >= STORE_NAME_CAPACITY {
+            if inner.quantiles.len() >= STORE_NAME_CAPACITY && !inner.quantiles.contains_key(name) {
                 inner.dropped_names += 1;
                 return;
             }
-            inner
-                .quantiles
-                .entry(name.to_string())
-                .or_default()
-                .observe(v);
+            upsert(&mut inner.quantiles, name, QuantileTrack::new, |q| {
+                q.observe(v)
+            });
         });
     }
 
-    /// Runs `f` over a clone of the named series (canonically sorted), or
-    /// returns `None` if absent.
+    /// Runs `f` over the named series in place, or returns `None` if
+    /// absent. Reads sort the stored series canonically, and it stays
+    /// sorted until an out-of-order push. `f` runs under the store's lock,
+    /// so it must not call back into the store.
     pub fn with_series<R>(&self, name: &str, f: impl FnOnce(&mut TimeSeries) -> R) -> Option<R> {
-        self.with_inner(|inner| inner.series.get(name).cloned())
-            .map(|mut s| f(&mut s))
+        self.with_inner(|inner| inner.series.get_mut(name).map(f))
     }
 
-    /// Runs `f` over a clone of the named quantile track, or `None` if
-    /// absent.
+    /// Runs `f` over the named quantile track in place, or `None` if
+    /// absent. `f` runs under the store's lock, as in
+    /// [`TimelineStore::with_series`].
     pub fn with_quantiles<R>(
         &self,
         name: &str,
         f: impl FnOnce(&mut QuantileTrack) -> R,
     ) -> Option<R> {
-        self.with_inner(|inner| inner.quantiles.get(name).cloned())
-            .map(|mut q| f(&mut q))
+        self.with_inner(|inner| inner.quantiles.get_mut(name).map(f))
     }
 
     /// Names of all series, in canonical (BTreeMap) order.
@@ -554,16 +587,15 @@ impl TimelineStore {
         self.with_inner(|inner| inner.quantiles.keys().cloned().collect())
     }
 
-    /// A canonically-sorted copy of every series (for the Perfetto
-    /// counter-track export).
-    pub fn series_snapshot(&self) -> Vec<(String, Vec<Sample>)> {
+    /// Visits every series in name order with its samples in canonical
+    /// order, in place (for the Perfetto counter-track export). `f` runs
+    /// under the store's lock, as in [`TimelineStore::with_series`].
+    pub fn visit_series(&self, mut f: impl FnMut(&str, &[Sample])) {
         self.with_inner(|inner| {
-            inner
-                .series
-                .iter_mut()
-                .map(|(name, series)| (name.clone(), series.samples().to_vec()))
-                .collect()
-        })
+            for (name, series) in &mut inner.series {
+                f(name, series.samples());
+            }
+        });
     }
 
     /// Names silently refused because the store already held its capacity
@@ -576,8 +608,24 @@ impl TimelineStore {
         self.with_inner(|inner| inner.series.is_empty() && inner.quantiles.is_empty())
     }
 
+    /// Empties the store. What any read sees afterwards matches a fresh
+    /// store; only the series' sample buffers are kept, emptied, for the
+    /// next series of the same name.
     pub fn reset(&self) {
-        self.with_inner(|inner| *inner = StoreInner::default());
+        self.with_inner(|inner| {
+            let spare = std::mem::take(&mut inner.series)
+                .into_iter()
+                .map(|(name, series)| {
+                    let mut buffer = series.samples;
+                    buffer.clear();
+                    (name, buffer)
+                })
+                .collect();
+            *inner = StoreInner {
+                spare,
+                ..StoreInner::default()
+            };
+        });
     }
 
     /// The full timeline export: every series (canonical sample order,
@@ -884,17 +932,185 @@ mod tests {
     }
 
     #[test]
-    fn store_reads_and_snapshot() {
+    fn store_reads_and_visits() {
         let store = TimelineStore::new();
-        store.series_push_span("util", 0.0, 2.0, 0.5);
         store.series_push_span("util", 2.0, 2.0, 1.0);
+        store.series_push_span("util", 0.0, 2.0, 0.5);
+        store.series_push("idle", 1.0, 0.0);
         store.quantile_observe("lat", 3.0);
         assert_eq!(store.with_series("util", |s| s.integral()), Some(3.0));
         assert_eq!(store.with_quantiles("lat", |q| q.p50()), Some(Some(3.0)));
         assert_eq!(store.with_series("missing", |s| s.integral()), None);
-        let snapshot = store.series_snapshot();
-        assert_eq!(snapshot.len(), 1);
-        assert_eq!(snapshot[0].1.len(), 2);
+        let mut visited = Vec::new();
+        store.visit_series(|name, samples| {
+            visited.push((name.to_string(), samples.iter().map(|s| s.t).collect()))
+        });
+        let starts: Vec<(String, Vec<f64>)> = vec![
+            ("idle".to_string(), vec![1.0]),
+            ("util".to_string(), vec![0.0, 2.0]),
+        ];
+        assert_eq!(visited, starts, "name order, canonical sample order");
         assert_eq!(store.quantile_names(), vec!["lat".to_string()]);
+    }
+
+    /// `n` samples drawn from a palette that hits every rejection path
+    /// (NaN/±∞ fields, negative durations) plus signed zeros, repeats and
+    /// out-of-order times.
+    fn messy_samples(seed: u64, n: usize) -> Vec<Sample> {
+        const PALETTE: [f64; 10] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            2.5,
+            3.0,
+        ];
+        let draw = |i: u64, lane: u64| PALETTE[(mix(seed ^ mix(i * 3 + lane)) % 10) as usize];
+        (0..n as u64)
+            .map(|i| Sample {
+                t: draw(i, 0),
+                dur: draw(i, 1),
+                v: draw(i, 2),
+            })
+            .collect()
+    }
+
+    /// A series' raw state: samples by bit pattern, sorted flag, drops.
+    type RawSeries = (Vec<[u64; 3]>, bool, u64);
+
+    fn raw_bits(s: &TimeSeries) -> RawSeries {
+        let samples = s
+            .samples
+            .iter()
+            .map(|x| [x.t.to_bits(), x.dur.to_bits(), x.v.to_bits()])
+            .collect();
+        (samples, s.sorted, s.dropped)
+    }
+
+    fn store_bits(store: &TimelineStore) -> (Vec<(String, RawSeries)>, u64) {
+        store.with_inner(|inner| {
+            let series = inner
+                .series
+                .iter()
+                .map(|(name, s)| (name.clone(), raw_bits(s)))
+                .collect();
+            (series, inner.dropped_names)
+        })
+    }
+
+    fn export(store: &TimelineStore) -> String {
+        serde_json::to_string(&store.to_json()).unwrap()
+    }
+
+    #[test]
+    fn extend_matches_a_loop_of_push_span() {
+        for seed in 0..300u64 {
+            let (mut looped, mut batched) = (TimeSeries::new(), TimeSeries::new());
+            if seed % 60 == 0 {
+                // An over-capacity tail: the next batches cross the cap.
+                let fill = vec![
+                    Sample {
+                        t: 9.0,
+                        dur: 1.0,
+                        v: 0.5
+                    };
+                    SERIES_CAPACITY - 7
+                ];
+                for s in &fill {
+                    looped.push_span(s.t, s.dur, s.v);
+                }
+                batched.extend(&fill);
+            }
+            for batch in 0..4 {
+                let len = (mix(seed * 4 + batch) % 24) as usize;
+                let samples = messy_samples(seed * 4 + batch, len);
+                for s in &samples {
+                    looped.push_span(s.t, s.dur, s.v);
+                }
+                batched.extend(&samples);
+                assert_eq!(raw_bits(&batched), raw_bits(&looped), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn store_extend_matches_pushes_under_the_name_cap() {
+        let (looped, batched) = (TimelineStore::new(), TimelineStore::new());
+        for i in 0..STORE_NAME_CAPACITY - 2 {
+            looped.series_push(&format!("s{i}"), 0.0, 1.0);
+            batched.series_push(&format!("s{i}"), 0.0, 1.0);
+        }
+        // Two new names fit, then the cap refuses every further sample of
+        // a new name; existing names keep recording.
+        for (k, name) in ["new", "s0", "empty", "full", "over", "s1", "new"]
+            .into_iter()
+            .enumerate()
+        {
+            let samples = match name {
+                "empty" => Vec::new(),
+                _ => messy_samples(k as u64, 5 + k),
+            };
+            for s in &samples {
+                looped.series_push_span(name, s.t, s.dur, s.v);
+            }
+            batched.series_extend(name, &samples);
+            assert_eq!(store_bits(&batched), store_bits(&looped), "after {name}");
+        }
+        assert!(batched.dropped_names() > 0);
+        assert!(!batched.series_names().contains(&"empty".to_string()));
+        assert_eq!(export(&batched), export(&looped));
+    }
+
+    #[test]
+    fn reading_mid_way_leaves_the_export_unchanged() {
+        let (read, unread) = (TimelineStore::new(), TimelineStore::new());
+        for (i, s) in messy_samples(11, 400).iter().enumerate() {
+            for store in [&read, &unread] {
+                store.series_push_span("util", s.t, s.dur, s.v);
+                store.series_push("point", s.t, s.v);
+                store.quantile_observe("lat", s.v);
+            }
+            if i % 90 == 45 {
+                read.with_series("util", |s| s.cdf());
+                read.with_series("point", |s| s.rollup(1.0));
+                read.with_quantiles("lat", |q| q.p99());
+                read.visit_series(|_, _| {});
+            }
+        }
+        assert_eq!(export(&read), export(&unread));
+    }
+
+    #[test]
+    fn reset_store_reads_like_a_fresh_one() {
+        let record = |store: &TimelineStore, names: &[&str]| {
+            for (k, name) in names.iter().enumerate() {
+                for s in messy_samples(k as u64, 50) {
+                    store.series_push_span(name, s.t, s.dur, s.v);
+                    store.quantile_observe(&format!("{name}.q"), s.v);
+                }
+            }
+        };
+        let store = TimelineStore::new();
+        record(&store, &["a", "b", "c"]);
+        let first = export(&store);
+        store.reset();
+        let fresh = TimelineStore::new();
+        assert_eq!(store.series_names(), fresh.series_names());
+        assert_eq!(store.quantile_names(), fresh.quantile_names());
+        assert!(store.is_empty());
+        assert_eq!(export(&store), export(&fresh));
+        // A kept buffer is taken only by its own name, and the names it
+        // was not taken by stay invisible.
+        record(&store, &["b", "d"]);
+        record(&fresh, &["b", "d"]);
+        assert_eq!(store.series_names(), fresh.series_names());
+        assert_eq!(export(&store), export(&fresh));
+        store.reset();
+        record(&store, &["a", "b", "c"]);
+        assert_eq!(export(&store), first);
     }
 }

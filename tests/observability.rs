@@ -203,6 +203,35 @@ fn recording_is_invisible_to_results_and_covers_all_tracks() {
     }
 }
 
+/// `report::generate` resets the recorder before recording, and the reset
+/// keeps the timeline store's sample buffers for reuse: a report recorded
+/// into those kept buffers must match the one recorded before it, byte for
+/// byte, dashboard and timeline export alike.
+#[test]
+fn re_recorded_report_is_byte_identical() {
+    let _guard = recorder_lock();
+    // Serial: parallel gauge sums run in thread order (ROADMAP item 3(a)).
+    mpshare::par::set_serial(true);
+    let record = || {
+        let report = mpshare::harness::report::generate(&device()).unwrap();
+        let timeline = serde_json::to_string(&obs::timelines().to_json()).unwrap();
+        (
+            report.text,
+            serde_json::to_string(&report.json).unwrap(),
+            timeline,
+        )
+    };
+    // The first report also fills the profile cache, which leaves later
+    // reports' profiling runs out of the recording (ROADMAP item 3(b)).
+    record();
+    let warm = record();
+    let again = record();
+    obs::set_enabled(false);
+    obs::recorder().reset();
+    mpshare::par::set_serial(false);
+    assert!(warm == again, "re-recorded report differs");
+}
+
 #[test]
 fn attribution_components_close_the_slowdown_identity() {
     // attribute() needs no recorder: it is a pure function of the run.
