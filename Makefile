@@ -232,14 +232,14 @@ fuzz-smoke: build
 	@echo "fuzz smoke gate passed"
 
 # Golden-output gate: the committed outputs must be reproduced byte for
-# byte. `mpshare-repro all` (parallel and --serial) and `report --serial`
+# byte. `mpshare-repro all` and `report`, each parallel and --serial,
 # must rebuild every file in results/, and `mpshare-sched --json` on the example and custom queues at
 # 1, 2 and 4 GPUs must print results/golden/sched-*.json. The serial
 # report's `--timeline-out` export (about 67 MB, too large to commit) must
 # match the SHA-256 in results/golden/report-timeline.sha256. The 500-seed
 # fuzz report is checked against results/golden/ by fuzz-smoke, so the
-# campaign runs once. Parallel `report` is left out: its float gauge sums
-# run in thread order (ROADMAP item 3(a)), so it is not yet bit-stable.
+# campaign runs once. Parallel `report` is bit-stable because its device
+# numbers are folds over the recorded runs in content order (DESIGN.md §9).
 GOLDEN := .golden
 GOLDEN_FUZZ := fuzz-500.txt
 GOLDEN_TIMELINE := report-timeline
@@ -253,7 +253,8 @@ golden: build fuzz-smoke
 	./target/release/mpshare-repro report --serial --out $(GOLDEN)/report \
 		--timeline-out $(GOLDEN)/$(GOLDEN_TIMELINE).json >/dev/null
 	cd $(GOLDEN) && sha256sum -c --quiet $(CURDIR)/results/golden/$(GOLDEN_TIMELINE).sha256
-	cp $(GOLDEN)/report/report.* $(GOLDEN)/all/
+	./target/release/mpshare-repro report --out $(GOLDEN)/report-parallel >/dev/null
+	cp $(GOLDEN)/report-parallel/report.* $(GOLDEN)/all/
 	cp $(GOLDEN)/report/report.* $(GOLDEN)/all-serial/
 	diff -r --exclude=golden results $(GOLDEN)/all
 	diff -r --exclude=golden results $(GOLDEN)/all-serial

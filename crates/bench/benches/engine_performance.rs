@@ -280,13 +280,16 @@ fn bench_timeline_overhead(c: &mut Criterion) {
     // the guarded calls dominate the fixed per-iteration reset, so the
     // bench gate compares call cost rather than scheduler jitter.
     let samples = 16384usize;
+    // A sample-backed per-client series: the device series are folded
+    // from recorded runs and refuse sample pushes.
+    let series = mpshare_obs::series::client("bench", "sm_share");
     let run_once = || {
         // Start each iteration from an empty store so the enabled
         // variant never hits the capacity cap's cheaper drop path.
         mpshare_obs::timelines().reset();
         for i in 0..samples {
             let t = i as f64;
-            mpshare_obs::series_push_span(mpshare_obs::series::DEVICE_SM_UTIL, t, 1.0, 0.5);
+            mpshare_obs::series_push_span(&series, t, 1.0, 0.5);
             mpshare_obs::quantile_observe(mpshare_obs::series::CLIENT_TURNAROUND, t);
         }
         black_box(samples)

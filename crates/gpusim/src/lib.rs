@@ -53,4 +53,4 @@ pub use kernel::{KernelSpec, LaunchConfig};
 pub use occupancy::{OccupancyLimits, OccupancyReport};
 pub use power::{PowerModel, PowerState};
 pub use program::{ClientProgram, TaskProgram, ValidatedPrograms};
-pub use telemetry::{Segment, Telemetry};
+pub use telemetry::{Segment, SegmentState, Telemetry};

@@ -14,6 +14,7 @@
 
 use mpshare_types::{Energy, Percent, Power, Seconds};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One piecewise-constant interval of GPU state.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,7 +47,8 @@ impl Segment {
         self.power * self.duration()
     }
 
-    fn state(&self) -> SegmentState {
+    /// The segment's device state: everything but its time span.
+    pub fn state(&self) -> SegmentState {
         SegmentState {
             sm_util: self.sm_util,
             bw_util: self.bw_util,
@@ -60,7 +62,7 @@ impl Segment {
 
 /// The device state of a [`Segment`]: everything but its time span.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SegmentState {
+pub struct SegmentState {
     pub sm_util: f64,
     pub bw_util: f64,
     pub power: Power,
@@ -79,6 +81,17 @@ impl SegmentState {
             && self.clock_factor.to_bits() == other.clock_factor.to_bits()
             && self.capped == other.capped
             && self.active_clients == other.active_clients
+    }
+
+    /// Field by field, each float in the IEEE total order.
+    fn total_cmp(&self, other: &SegmentState) -> Ordering {
+        self.sm_util
+            .total_cmp(&other.sm_util)
+            .then(self.bw_util.total_cmp(&other.bw_util))
+            .then(self.power.watts().total_cmp(&other.power.watts()))
+            .then(self.clock_factor.total_cmp(&other.clock_factor))
+            .then(self.capped.cmp(&other.capped))
+            .then(self.active_clients.cmp(&other.active_clients))
     }
 }
 
@@ -266,6 +279,46 @@ impl Telemetry {
         self.palette.len()
     }
 
+    /// Each interned state some segment is in, in palette order, with the
+    /// time spent in it: its segments' durations summed in append order.
+    pub fn time_per_state(&self) -> impl Iterator<Item = (SegmentState, Seconds)> + '_ {
+        let mut times = vec![None; self.palette.len()];
+        for span in &self.spans {
+            let time = times[span.state as usize].get_or_insert(Seconds::ZERO);
+            *time += { span.end }.saturating_sub(span.start);
+        }
+        self.palette
+            .iter()
+            .zip(times)
+            .filter_map(|(&state, time)| Some((state, time?)))
+    }
+
+    /// A total order on what is stored: the segment and state counts, the
+    /// spans (start, end, state id) in append order, then the palette
+    /// states, each float in the IEEE total order. Telemetries that compare
+    /// equal hold the same bits, so any fold over either gives the same
+    /// result.
+    pub fn total_cmp(&self, other: &Telemetry) -> Ordering {
+        let spans = self.spans.iter().zip(&other.spans).map(|(a, b)| {
+            { a.start }
+                .value()
+                .total_cmp(&{ b.start }.value())
+                .then({ a.end }.value().total_cmp(&{ b.end }.value()))
+                .then({ a.state }.cmp(&{ b.state }))
+        });
+        let states = (self.palette.iter().zip(&other.palette)).map(|(a, b)| a.total_cmp(b));
+        self.spans
+            .len()
+            .cmp(&other.spans.len())
+            .then(self.palette.len().cmp(&other.palette.len()))
+            .then_with(|| {
+                spans
+                    .chain(states)
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            })
+    }
+
     /// Total covered wall-clock time.
     pub fn total_time(&self) -> Seconds {
         self.totals.time
@@ -284,6 +337,16 @@ impl Telemetry {
         } else {
             self.total_energy() / t
         }
+    }
+
+    /// Exact integral of SM utilization over time, `Σ sm_util·dt`.
+    pub fn sm_integral(&self) -> f64 {
+        self.totals.sm
+    }
+
+    /// Exact integral of memory-bandwidth utilization over time.
+    pub fn bw_integral(&self) -> f64 {
+        self.totals.bw
     }
 
     /// Time-weighted average SM utilization.
@@ -413,6 +476,38 @@ mod tests {
         assert_eq!(segments.len(), 5);
         assert!(segments[4].sm_util.is_sign_negative());
         assert_eq!(segments[3], seg(5.0, 6.0, 0.0, 0.0, 75.0, false, 0));
+    }
+
+    #[test]
+    fn time_per_state_sums_each_interned_state_in_palette_order() {
+        let mut t = sample_telemetry();
+        // Interned against the last entry only: the first state recurs
+        // under a new id, and an interned state no span uses is skipped.
+        t.record(seg(5.0, 5.5, 0.5, 0.2, 100.0, false, 1));
+        let idle = t.intern(seg(0.0, 1.0, 0.9, 0.9, 90.0, false, 3).state());
+        assert_eq!(t.state_count(), 5);
+        let times: Vec<(f64, f64)> = t
+            .time_per_state()
+            .map(|(s, dt)| (s.sm_util, dt.value()))
+            .collect();
+        assert_eq!(times, vec![(0.5, 2.0), (1.0, 1.0), (0.0, 2.0), (0.5, 0.5)]);
+        t.push(Seconds::new(6.0), Seconds::new(7.0), idle);
+        assert_eq!(t.time_per_state().count(), 5);
+    }
+
+    #[test]
+    fn total_cmp_orders_by_stored_bits() {
+        let t = sample_telemetry();
+        assert!(t.total_cmp(&t.clone()).is_eq());
+        let mut longer = t.clone();
+        longer.record(seg(5.0, 6.0, 0.0, 0.0, 75.0, false, 0));
+        assert!(t.total_cmp(&longer).is_lt());
+        let mut signed = Telemetry::new();
+        signed.record(seg(0.0, 2.0, 0.5, 0.2, 100.0, false, 1));
+        signed.record(seg(2.0, 3.0, 1.0, 0.8, 300.0, true, 2));
+        signed.record(seg(3.0, 5.0, -0.0, 0.0, 75.0, false, 0));
+        assert!(signed.total_cmp(&t).is_lt(), "-0.0 sorts before 0.0");
+        assert_eq!(t.total_cmp(&signed), Ordering::Greater);
     }
 
     #[test]

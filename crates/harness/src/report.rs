@@ -16,7 +16,7 @@
 
 use crate::table::TextTable;
 use mpshare_gpusim::DeviceSpec;
-use mpshare_obs::{series, MetricsRegistry, TimelineStore};
+use mpshare_obs::{series, Gauge, MetricsRegistry, TimelineStore};
 use mpshare_types::Result;
 use serde_json::Value;
 
@@ -51,22 +51,28 @@ pub fn build(tl: &TimelineStore, metrics: &MetricsRegistry) -> Report {
     let mut json_sections: Vec<(String, Value)> = Vec::new();
 
     // -- Device utilization ------------------------------------------------
-    let (covered, mean_sm, stranded, cdf) = tl
-        .with_series(series::DEVICE_SM_UTIL, |s| {
-            (
-                Some(s.covered()),
-                s.time_weighted_mean(),
-                Some(s.stranded(1.0)),
-                s.cdf(),
-            )
+    // Every device number is a fold over the run table in content order,
+    // so it does not depend on the worker schedule.
+    let mechanisms: Vec<String> = tl
+        .quantile_names()
+        .into_iter()
+        .filter_map(|n| {
+            n.strip_prefix("turnaround.")
+                .and_then(|rest| rest.strip_suffix("_s"))
+                .map(str::to_string)
         })
-        .unwrap_or_default();
-    let mean_bw = tl
-        .with_series(series::DEVICE_BW_UTIL, |s| s.time_weighted_mean())
-        .flatten();
-    let mean_power = tl
-        .with_series(series::DEVICE_POWER_W, |s| s.time_weighted_mean())
-        .flatten();
+        .collect();
+    let (device, means, cdf, occupancy, sim_seconds) = tl.with_runs(|runs| {
+        let sm = runs.series(Gauge::SmUtil, None);
+        let means = [Gauge::SmUtil, Gauge::BwUtil, Gauge::PowerW]
+            .map(|gauge| runs.series(gauge, None).time_weighted_mean());
+        let occupancy: Vec<Option<f64>> = (mechanisms.iter())
+            .map(|m| runs.series(Gauge::SmUtil, Some(m)).time_weighted_mean())
+            .collect();
+        let device = (!sm.is_empty()).then(|| (sm.covered(), sm.stranded(1.0)));
+        (device, means, sm.cdf(), occupancy, runs.makespan())
+    });
+    let ((covered, stranded), [mean_sm, mean_bw, mean_power]) = (device.unzip(), means);
 
     let mut util = TextTable::new(["metric", "value"]);
     let fmt = |v: Option<f64>| match v {
@@ -121,16 +127,6 @@ pub fn build(tl: &TimelineStore, metrics: &MetricsRegistry) -> Report {
     ));
 
     // -- Per-mechanism tail latency and SLO attainment ---------------------
-    let mechanisms: Vec<String> = tl
-        .quantile_names()
-        .into_iter()
-        .filter_map(|n| {
-            n.strip_prefix("turnaround.")
-                .and_then(|rest| rest.strip_suffix("_s"))
-                .map(str::to_string)
-        })
-        .collect();
-
     let mut tail = TextTable::new([
         "mechanism",
         "n",
@@ -147,7 +143,7 @@ pub fn build(tl: &TimelineStore, metrics: &MetricsRegistry) -> Report {
         TextTable::new(headers)
     };
     let mut mech_json: Vec<(String, Value)> = Vec::new();
-    for mech in &mechanisms {
+    for (mech, occupancy_mean) in mechanisms.iter().zip(occupancy) {
         let track = series::mechanism_turnaround(mech);
         let stats = tl.with_quantiles(&track, |q| {
             (
@@ -164,9 +160,6 @@ pub fn build(tl: &TimelineStore, metrics: &MetricsRegistry) -> Report {
         let Some((n, p50, p90, p99, p999, max, cdf, attainment)) = stats else {
             continue;
         };
-        let occupancy_mean = tl
-            .with_series(&series::occupancy(mech), |s| s.time_weighted_mean())
-            .flatten();
         tail.push_row([
             mech.clone(),
             n.to_string(),
@@ -218,10 +211,10 @@ pub fn build(tl: &TimelineStore, metrics: &MetricsRegistry) -> Report {
 
     // -- Online scheduler --------------------------------------------------
     // Goodput is recomputed from deterministic sums (completed tasks over
-    // simulated seconds), not the GOODPUT gauge: a gauge's last-write is
-    // scenario-order-dependent under parallel sweeps.
+    // the runs' makespans, folded in content order), not the GOODPUT
+    // gauge, whose last write depends on the order of parallel sweeps, nor
+    // the ENGINE_SIM_SECONDS gauge, which sums in thread order.
     let tasks = metrics.counter_get(mpshare_obs::names::TASKS_COMPLETED);
-    let sim_seconds = metrics.gauge_get(mpshare_obs::names::ENGINE_SIM_SECONDS);
     let goodput = (sim_seconds > 0.0).then(|| tasks as f64 / sim_seconds);
     let mut sched = TextTable::new(["metric", "n", "p50", "p90", "p99", "p999"]);
     let mut sched_json: Vec<(String, Value)> = Vec::new();
@@ -291,15 +284,31 @@ fn pairs(p: &[(f64, f64)]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpshare_gpusim::{Segment, Telemetry};
+    use mpshare_types::{Power, Seconds};
+
+    /// One run of `secs` seconds at a constant SM and BW utilization and
+    /// board power.
+    fn run(tl: &TimelineStore, mode: &'static str, secs: f64, sm: f64, bw: f64, watts: f64) {
+        let mut telemetry = Telemetry::new();
+        telemetry.record(Segment {
+            start: Seconds::ZERO,
+            end: Seconds::new(secs),
+            sm_util: sm,
+            bw_util: bw,
+            power: Power::from_watts(watts),
+            clock_factor: 1.0,
+            capped: false,
+            active_clients: 1,
+        });
+        tl.record_run(mode, secs, &telemetry);
+    }
 
     fn seeded_store() -> (TimelineStore, MetricsRegistry) {
         let tl = TimelineStore::new();
-        // Two "runs": 60% util for 10s, 30% for 10s.
-        tl.series_push_span(series::DEVICE_SM_UTIL, 0.0, 10.0, 0.6);
-        tl.series_push_span(series::DEVICE_SM_UTIL, 0.0, 10.0, 0.3);
-        tl.series_push_span(series::DEVICE_BW_UTIL, 0.0, 20.0, 0.2);
-        tl.series_push_span(series::DEVICE_POWER_W, 0.0, 20.0, 250.0);
-        tl.series_push_span(&series::occupancy("mps"), 0.0, 10.0, 0.6);
+        // Two runs: 60% util for 10s, 30% for 10s.
+        run(&tl, "mps", 10.0, 0.6, 0.2, 250.0);
+        run(&tl, "sequential", 10.0, 0.3, 0.2, 250.0);
         for v in [20.0, 45.0, 100.0, 500.0] {
             tl.quantile_observe(&series::mechanism_turnaround("mps"), v);
         }
@@ -307,7 +316,6 @@ mod tests {
         tl.quantile_observe(series::SCHED_TURNAROUND, 50.0);
         let metrics = MetricsRegistry::new();
         metrics.counter_add(mpshare_obs::names::TASKS_COMPLETED, 40);
-        metrics.gauge_add(mpshare_obs::names::ENGINE_SIM_SECONDS, 20.0);
         (tl, metrics)
     }
 

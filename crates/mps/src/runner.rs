@@ -23,10 +23,11 @@ use mpshare_types::{Error, Fraction, Power, Result, Seconds};
 use serde::{Deserialize, Serialize};
 
 /// Observability hook for one engine run: hot-path counters from
-/// [`EngineStats`], fault/goodput accounting, timeline series (device and
-/// per-client state over simulated time, per-mechanism occupancy and
-/// turnaround — see `mpshare_obs::timeline`), and a Daemon-track span
-/// covering the simulated makespan. A no-op unless recording is enabled.
+/// [`EngineStats`], fault/goodput accounting, the timeline (the run's
+/// telemetry in the run table, per-client state over simulated time and
+/// per-mechanism turnaround — see `mpshare_obs::timeline`), and a
+/// Daemon-track span covering the simulated makespan. A no-op unless
+/// recording is enabled.
 ///
 /// `shares[i]` is client `i`'s SM-partition fraction under the mechanism
 /// (empty slice ⇒ unpartitioned, i.e. 1.0 for everyone). Emission happens
@@ -69,27 +70,12 @@ fn record_engine_run(
     mpshare_obs::counter_add(names::TASKS_FAILED, result.tasks_failed as u64);
     mpshare_obs::gauge_add(names::WASTED_ENERGY_JOULES, result.wasted_energy.joules());
 
-    // Timeline series: every piecewise-constant telemetry segment becomes
-    // one span sample, so the store's integrals and utilization CDFs are
-    // exact (no sampling). Device-level state feeds the global series and
-    // the per-mechanism occupancy track, one column per series added
-    // under one store lock.
-    use mpshare_obs::{series, Sample};
+    // The run table keeps the run's telemetry itself: the device series
+    // (`device.*`, `occupancy.{mode}`) are exact folds over it, read in
+    // the table's content order whatever the worker schedule.
+    use mpshare_obs::series;
     let tl = mpshare_obs::timelines();
-    let segments = result.telemetry.segments();
-    let n = segments.size_hint().0;
-    let [mut sm, mut bw, mut power] = [(); 3].map(|_| Vec::with_capacity(n));
-    for s in segments {
-        let (t, dur) = (s.start.value(), s.duration().value());
-        let at = |v| Sample { t, dur, v };
-        sm.push(at(s.sm_util));
-        bw.push(at(s.bw_util));
-        power.push(at(s.power.watts()));
-    }
-    tl.series_extend(series::DEVICE_SM_UTIL, &sm);
-    tl.series_extend(series::DEVICE_BW_UTIL, &bw);
-    tl.series_extend(series::DEVICE_POWER_W, &power);
-    tl.series_extend(&series::occupancy(mode), &sm);
+    tl.record_run(mode, result.makespan.value(), &result.telemetry);
     // Per-client state over the client's [started, finished] residency:
     // residency itself, the mechanism-granted SM share, and the mean
     // dynamic power over the residency (dyn_energy ÷ residency — exact as

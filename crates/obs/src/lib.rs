@@ -55,7 +55,7 @@ pub use perfetto::{
     chrome_trace, control_events, engine_events, merged_chrome_trace_with_timelines, TraceEvent,
 };
 pub use recorder::{global as recorder, ObsRecord, Recorder, Track};
-pub use timeline::{series, QuantileTrack, Sample, TimeSeries, TimelineStore, WindowStat};
+pub use timeline::{series, Gauge, QuantileTrack, Sample, TimeSeries, TimelineStore};
 
 use serde_json::Value;
 

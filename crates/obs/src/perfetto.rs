@@ -383,8 +383,8 @@ mod tests {
     #[test]
     fn timeline_counter_tracks_render_on_their_own_pid() {
         let store = TimelineStore::new();
-        store.series_push_span("device.sm_util", 0.0, 2.0, 0.5);
-        store.series_push_span("device.sm_util", 2.0, 1.0, 1.0);
+        store.series_push_span("client.a.sm_share", 2.0, 1.0, 1.0);
+        store.series_push_span("client.a.sm_share", 0.0, 2.0, 0.5);
         store.quantile_observe("lat", 3.0); // quantiles are JSON-only
         let events = timeline_events(&store);
         assert_eq!(events[0].ph, "M");
@@ -393,10 +393,23 @@ mod tests {
         assert_eq!(counters.len(), 2);
         assert_eq!(counters[0].ts, 0.0);
         assert_eq!(counters[1].ts, 2.0 * SECONDS_TO_US);
+        // A recorded run's device series render as counter tracks too.
+        let mut telemetry = mpshare_gpusim::Telemetry::new();
+        telemetry.record(mpshare_gpusim::Segment {
+            start: mpshare_types::Seconds::ZERO,
+            end: mpshare_types::Seconds::new(2.0),
+            sm_util: 0.5,
+            bw_util: 0.25,
+            power: mpshare_types::Power::from_watts(100.0),
+            clock_factor: 1.0,
+            capped: false,
+            active_clients: 1,
+        });
+        store.record_run("mps", 2.0, &telemetry);
         let trace = merged_chrome_trace_with_timelines(None, &sample_records(), &store);
         let parsed: Value = serde_json::from_str(&trace).unwrap();
         assert!(parsed.get("traceEvents").is_some());
-        assert!(trace.contains("device.sm_util"));
+        assert!(trace.contains("device.sm_util") && trace.contains("occupancy.mps"));
     }
 
     #[test]

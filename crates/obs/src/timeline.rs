@@ -5,17 +5,17 @@
 //! "how much, in total"; this layer answers the time-resolved questions
 //! the paper's interference argument (§IV) is built on — what did
 //! utilization look like *over time*, what is the exact p99/p999
-//! turnaround, how much capacity was stranded. Two building blocks:
+//! turnaround, how much capacity was stranded. Three building blocks:
 //!
-//! * [`TimeSeries`] — values sampled against **simulated** time (the same
-//!   no-wall-clocks discipline as the recorder). Samples carry an explicit
-//!   duration, because the simulation's state is piecewise-constant: a
-//!   telemetry segment becomes one span sample, and time integrals,
-//!   time-weighted means and utilization CDFs are then *exact* sums, never
-//!   sampling approximations. Point samples (`dur == 0`) are supported for
-//!   instantaneous observations such as queue depth.
-//!   [`TimeSeries::rollup`] folds a series into fixed-window
-//!   count/mean/min/max/sum stats, for dashboard-style downsampling.
+//! * [`RunTable`] — one entry per recorded engine run: its mechanism,
+//!   makespan and [`Telemetry`]. The device series (`device.*`,
+//!   `occupancy.{mode}`) are folds over it: covered time and integrals
+//!   from each telemetry's running totals, stranded capacity from one pass
+//!   per run, a CDF from the time spent in each interned device state.
+//! * [`TimeSeries`] — span samples `(t, dur, v)` against **simulated**
+//!   time, for the small per-client series and the scheduler's points.
+//!   The state is piecewise-constant, so integrals and CDFs are *exact*
+//!   sums; point samples (`dur == 0`) hold instantaneous observations.
 //! * [`QuantileTrack`] — *exact* quantiles: every observation is kept and
 //!   sorted-merge-consolidated on demand, so `p50/p90/p99/p999` are true
 //!   order statistics, bit-identical to a naive sort of the same
@@ -24,12 +24,15 @@
 //! # Determinism rules
 //!
 //! Everything here must be a pure function of the *multiset* of
-//! observations: worker count and insertion order must not matter. Series
-//! samples are canonically sorted by `(t, dur, v)` before any read, and
-//! quantile tracks keep a sorted multiset, so serial and parallel runs
-//! export byte-identical JSON (the trace-smoke gate `cmp`s a serial
-//! against a parallel timeline artifact). Sums (integrals, window sums)
-//! are always folded over the canonical order.
+//! observations: worker count and insertion order must not matter. Runs
+//! are folded in **content order** — mode, then makespan, then the
+//! telemetry's bits ([`Telemetry::total_cmp`]) — so any multiset of runs
+//! sums in one order, serial and parallel alike. Series samples are
+//! canonically sorted by `(t, dur, v)` before any read, and quantile
+//! tracks keep a sorted multiset. So serial and parallel runs export
+//! byte-identical JSON (the trace-smoke gate `cmp`s a serial against a
+//! parallel timeline artifact), and the report built from the store is
+//! byte-identical too (`make golden`).
 //!
 //! # Cost and the alloc-gate
 //!
@@ -42,26 +45,22 @@
 //! capacity-capped with dropped-sample accounting, like the recorder's
 //! shards.
 //!
-//! Recording and reading cost O(samples) with no per-sample lock or
-//! allocation: the runner adds a run's telemetry as one column per series
-//! ([`TimelineStore::series_extend`], one lock and one name lookup), a
-//! name's key is allocated only when its series or track is created,
-//! reads sort the stored series in place (once, until the next
-//! out-of-order push) instead of a copy, and [`TimelineStore::reset`]
-//! keeps each series' emptied sample buffer for the next series of the
-//! same name.
+//! Recording a run copies its 20-byte telemetry spans and state palette.
+//! Reads sort the runs, never the samples (a CDF sorts only the distinct
+//! values); the samples are expanded from the runs only for the export.
 
 use crate::metrics::upsert;
+use mpshare_gpusim::{SegmentState, Telemetry};
 use serde_json::Value;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 /// Canonical series and quantile-track names. Instrumentation sites, the
 /// report renderer, and `validate-obs` share these so they cannot drift.
 pub mod series {
-    /// Device SM-throughput utilization in `[0, 1]`, one span per
-    /// telemetry segment, aggregated over every recorded engine run.
+    /// Device SM-throughput utilization in `[0, 1]`, one span per segment
+    /// of every run in the [`RunTable`](super::RunTable), like [`occupancy`].
     pub const DEVICE_SM_UTIL: &str = "device.sm_util";
     /// Device memory-bandwidth utilization in `[0, 1]`.
     pub const DEVICE_BW_UTIL: &str = "device.bw_util";
@@ -113,8 +112,30 @@ fn canonical(a: &Sample, b: &Sample) -> Ordering {
         .then_with(|| a.v.total_cmp(&b.v))
 }
 
-/// Per-series sample cap: bounds store memory like the recorder's shard
-/// capacity (samples past the cap are counted and dropped).
+/// The CDF steps of `(value, weight)` pairs sorted by value: for each
+/// distinct value, the fraction of the total weight at a value `<=` it.
+/// Equal values (`-0.0 == 0.0` included) collapse to one step. Empty when
+/// the weights sum to nothing.
+fn cdf_steps(weighted: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+    let total: f64 = weighted.iter().map(|(_, w)| w).sum();
+    if total <= 0.0 {
+        return Vec::new();
+    }
+    let mut out: Vec<(f64, f64)> = Vec::new();
+    let mut acc = 0.0;
+    for (v, w) in weighted {
+        acc += w;
+        match out.last_mut() {
+            Some(last) if last.0 == v => last.1 = acc / total,
+            _ => out.push((v, acc / total)),
+        }
+    }
+    out
+}
+
+/// Per-series sample cap, and the run table's segment cap: bounds store
+/// memory like the recorder's shard capacity (what lands past the cap is
+/// counted and dropped).
 const SERIES_CAPACITY: usize = 1 << 18;
 
 /// A series of values against simulated time. Observation order is
@@ -138,23 +159,10 @@ impl TimeSeries {
         }
     }
 
-    /// Records an instantaneous observation. Non-finite times or values
-    /// are rejected and counted in [`TimeSeries::dropped`] (the same
-    /// poisoning guard as `Histogram::observe`).
-    pub fn push(&mut self, t: f64, v: f64) {
-        self.push_span(t, 0.0, v);
-    }
-
-    /// Records every sample of `samples`, in order, exactly as a loop of
-    /// [`TimeSeries::push_span`] would.
-    pub fn extend(&mut self, samples: &[Sample]) {
-        for s in samples {
-            self.push_span(s.t, s.dur, s.v);
-        }
-    }
-
-    /// Records `v` holding from `t` for `dur` seconds. Rejects non-finite
-    /// fields and negative durations (counted as dropped).
+    /// Records `v` holding from `t` for `dur` seconds (`dur == 0` for an
+    /// instantaneous observation). Rejects non-finite fields and negative
+    /// durations, counted in [`TimeSeries::dropped`] (the same poisoning
+    /// guard as `Histogram::observe`).
     pub fn push_span(&mut self, t: f64, dur: f64, v: f64) {
         if !t.is_finite() || !dur.is_finite() || !v.is_finite() || dur < 0.0 {
             self.dropped += 1;
@@ -200,60 +208,14 @@ impl TimeSeries {
         self.dropped
     }
 
-    /// `(earliest start, latest end)` over all samples.
-    pub fn span(&mut self) -> Option<(f64, f64)> {
-        self.finalize();
-        let first = *self.samples.first()?;
-        let end = self
-            .samples
-            .iter()
-            .map(|s| s.t + s.dur)
-            .fold(f64::NEG_INFINITY, f64::max);
-        Some((first.t, end))
-    }
-
     /// Total covered time `Σ dur` (point samples contribute nothing).
     pub fn covered(&mut self) -> f64 {
-        self.finalize();
-        self.samples.iter().map(|s| s.dur).sum()
+        self.samples().iter().map(|s| s.dur).sum()
     }
 
     /// Exact time integral `Σ v·dur`.
     pub fn integral(&mut self) -> f64 {
-        self.finalize();
-        self.samples.iter().map(|s| s.v * s.dur).sum()
-    }
-
-    /// `integral / covered`; `None` when no time is covered.
-    pub fn time_weighted_mean(&mut self) -> Option<f64> {
-        let covered = self.covered();
-        if covered > 0.0 {
-            Some(self.integral() / covered)
-        } else {
-            None
-        }
-    }
-
-    /// Fixed-window roll-ups: one [`WindowStat`] per `window`-second
-    /// bucket (keyed by the sample *start*), in time order. Windows with
-    /// no samples are omitted. Deterministic: folded over the canonical
-    /// sample order.
-    pub fn rollup(&mut self, window: f64) -> Vec<WindowStat> {
-        assert!(
-            window.is_finite() && window > 0.0,
-            "rollup window must be positive"
-        );
-        self.finalize();
-        let mut out: Vec<WindowStat> = Vec::new();
-        for s in &self.samples {
-            let bucket = (s.t / window).floor();
-            let start = bucket * window;
-            match out.last_mut() {
-                Some(last) if last.start == start => last.fold(s),
-                _ => out.push(WindowStat::seed(start, start + window, s)),
-            }
-        }
-        out
+        self.samples().iter().map(|s| s.v * s.dur).sum()
     }
 
     /// Time-weighted cumulative distribution of the series value: for
@@ -262,78 +224,248 @@ impl TimeSeries {
     /// piecewise-constant. Point-only series fall back to equal weights
     /// per sample. Empty for an empty series.
     pub fn cdf(&mut self) -> Vec<(f64, f64)> {
-        self.finalize();
-        if self.samples.is_empty() {
-            return Vec::new();
-        }
-        let covered: f64 = self.samples.iter().map(|s| s.dur).sum();
+        let covered = self.covered();
         let mut weighted: Vec<(f64, f64)> = self
             .samples
             .iter()
             .map(|s| (s.v, if covered > 0.0 { s.dur } else { 1.0 }))
             .collect();
         weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let total: f64 = weighted.iter().map(|(_, w)| w).sum();
-        if total <= 0.0 {
-            return Vec::new();
+        cdf_steps(weighted)
+    }
+}
+
+/// A device quantity every recorded run's telemetry carries: what one
+/// run-backed series measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gauge {
+    /// SM-throughput utilization in `[0, 1]`.
+    SmUtil,
+    /// Memory-bandwidth utilization in `[0, 1]`.
+    BwUtil,
+    /// Board power draw in watts.
+    PowerW,
+}
+
+impl Gauge {
+    fn of(self, state: &SegmentState) -> f64 {
+        match self {
+            Gauge::SmUtil => state.sm_util,
+            Gauge::BwUtil => state.bw_util,
+            Gauge::PowerW => state.power.watts(),
         }
-        let mut out: Vec<(f64, f64)> = Vec::new();
-        let mut acc = 0.0;
-        for (v, w) in weighted {
-            acc += w;
-            match out.last_mut() {
-                // Equal values collapse to one CDF step.
-                Some(last) if last.0 == v => last.1 = acc / total,
-                _ => out.push((v, acc / total)),
-            }
+    }
+
+    /// `Σ v·dt` over one run, as its telemetry folded it while recording.
+    fn integral(self, telemetry: &Telemetry) -> f64 {
+        match self {
+            Gauge::SmUtil => telemetry.sm_integral(),
+            Gauge::BwUtil => telemetry.bw_integral(),
+            Gauge::PowerW => telemetry.total_energy().joules(),
         }
-        out
+    }
+}
+
+/// One recorded engine run.
+#[derive(Debug)]
+struct Run {
+    mode: &'static str,
+    makespan: f64,
+    telemetry: Telemetry,
+}
+
+/// The content order: mode, then makespan, then the telemetry's bits.
+/// Runs equal under it are bitwise the same, so the order in which any
+/// multiset of runs is folded is fixed.
+fn content_order(a: &Run, b: &Run) -> Ordering {
+    a.mode
+        .cmp(b.mode)
+        .then(a.makespan.total_cmp(&b.makespan))
+        .then_with(|| a.telemetry.total_cmp(&b.telemetry))
+}
+
+/// The recorded engine runs, from which the device series are folded.
+/// Every fold visits the runs in content order, so its result is a pure
+/// function of the run multiset.
+#[derive(Debug, Default)]
+pub struct RunTable {
+    runs: Vec<Run>,
+    /// Segments held, against `SERIES_CAPACITY`.
+    segments: usize,
+    /// Segments of the dropped runs, per mode.
+    dropped: BTreeMap<&'static str, u64>,
+}
+
+impl RunTable {
+    /// Adds one run, or drops it whole and counts its segments when one
+    /// has a non-finite field or they would take the table past its cap.
+    fn record(&mut self, mode: &'static str, makespan: f64, telemetry: Telemetry) {
+        let len = telemetry.len();
+        let finite = telemetry
+            .segments()
+            .all(|s| s.end.is_finite() && s.sm_util.is_finite() && s.bw_util.is_finite());
+        if finite && self.segments + len <= SERIES_CAPACITY {
+            self.segments += len;
+            self.runs.push(Run {
+                mode,
+                makespan,
+                telemetry,
+            });
+        } else {
+            *self.dropped.entry(mode).or_default() += len as u64;
+        }
+    }
+
+    /// Puts the runs in content order, which every fold relies on.
+    fn sort(&mut self) {
+        self.runs.sort_by(content_order);
+    }
+
+    /// No run recorded, stored or dropped.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty() && self.dropped.is_empty()
+    }
+
+    /// Total simulated seconds: the stored runs' makespans, summed in
+    /// content order (`0.0` for an empty table).
+    pub fn makespan(&self) -> f64 {
+        self.runs.iter().fold(0.0, |acc, r| acc + r.makespan)
+    }
+
+    /// The series of `gauge` over every stored run (`mode == None`) or
+    /// over the runs of one mode.
+    pub fn series<'a>(&'a self, gauge: Gauge, mode: Option<&'a str>) -> RunSeries<'a> {
+        RunSeries {
+            table: self,
+            gauge,
+            mode,
+        }
+    }
+
+    /// The run-backed series the export lists, in name order: the three
+    /// device series, and one occupancy series per mode, each once a run
+    /// stored or dropped a segment for it.
+    fn named_series(&self) -> Vec<(String, RunSeries<'_>)> {
+        let mut modes: BTreeSet<&str> = self.dropped.keys().copied().collect();
+        modes.extend(
+            self.runs
+                .iter()
+                .filter(|r| !r.telemetry.is_empty())
+                .map(|r| r.mode),
+        );
+        let device = [
+            (series::DEVICE_BW_UTIL, Gauge::BwUtil),
+            (series::DEVICE_POWER_W, Gauge::PowerW),
+            (series::DEVICE_SM_UTIL, Gauge::SmUtil),
+        ];
+        let device = (device.into_iter().filter(|_| !modes.is_empty()))
+            .map(|(name, gauge)| (name.to_string(), self.series(gauge, None)));
+        let occupancy = (modes.iter()).map(|&mode| {
+            (
+                series::occupancy(mode),
+                self.series(Gauge::SmUtil, Some(mode)),
+            )
+        });
+        device.chain(occupancy).collect()
+    }
+}
+
+/// One run-backed series: a [`Gauge`] over a [`RunTable`]'s runs, all of
+/// them or one mode's. Every fold is exact and visits the runs in content
+/// order; within a run it is the fold the telemetry made in append order.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSeries<'a> {
+    table: &'a RunTable,
+    gauge: Gauge,
+    mode: Option<&'a str>,
+}
+
+impl RunSeries<'_> {
+    fn runs(&self) -> impl Iterator<Item = &Telemetry> + '_ {
+        self.table
+            .runs
+            .iter()
+            .filter(|r| self.mode.is_none_or(|m| m == r.mode) && !r.telemetry.is_empty())
+            .map(|r| &r.telemetry)
+    }
+
+    /// `Σ` of `per_run` over the runs, from the `-0.0` an `f64` sum
+    /// starts at.
+    fn fold(&self, per_run: impl Fn(&Telemetry) -> f64) -> f64 {
+        self.runs().fold(-0.0, |acc, t| acc + per_run(t))
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.runs().next().is_none()
+    }
+
+    /// Segments of the dropped runs (non-finite, or past the cap).
+    pub fn dropped(&self) -> u64 {
+        let dropped = &self.table.dropped;
+        match self.mode {
+            Some(mode) => dropped.get(mode).copied().unwrap_or(0),
+            None => dropped.values().sum(),
+        }
+    }
+
+    /// Total covered time `Σ dur`.
+    pub fn covered(&self) -> f64 {
+        self.fold(|t| t.total_time().value())
+    }
+
+    /// Exact time integral `Σ v·dur`.
+    pub fn integral(&self) -> f64 {
+        self.fold(|t| self.gauge.integral(t))
+    }
+
+    /// `integral / covered`; `None` when no time is covered.
+    pub fn time_weighted_mean(&self) -> Option<f64> {
+        let covered = self.covered();
+        (covered > 0.0).then(|| self.integral() / covered)
     }
 
     /// Stranded-capacity integral: `Σ max(0, capacity − v)·dur` — the
     /// capacity-seconds left unused against a ceiling of `capacity`
-    /// (1.0 for utilization series).
-    pub fn stranded(&mut self, capacity: f64) -> f64 {
-        self.finalize();
-        self.samples
-            .iter()
-            .map(|s| (capacity - s.v).max(0.0) * s.dur)
-            .sum()
+    /// (1.0 for utilization series). One pass over each run.
+    pub fn stranded(&self, capacity: f64) -> f64 {
+        self.fold(|t| {
+            t.segments()
+                .map(|s| (capacity - self.gauge.of(&s.state())).max(0.0) * s.duration().value())
+                .sum()
+        })
     }
-}
 
-/// One fixed-window aggregate of a [`TimeSeries`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowStat {
-    pub start: f64,
-    pub end: f64,
-    pub count: u64,
-    pub min: f64,
-    pub max: f64,
-    pub sum: f64,
-    /// Sample mean (`sum / count`).
-    pub mean: f64,
-}
-
-impl WindowStat {
-    fn seed(start: f64, end: f64, s: &Sample) -> Self {
-        WindowStat {
-            start,
-            end,
-            count: 1,
-            min: s.v,
-            max: s.v,
-            sum: s.v,
-            mean: s.v,
+    /// Time-weighted CDF of the value, as [`TimeSeries::cdf`]: the time
+    /// at each distinct value (by its bits) is summed per palette state,
+    /// run by run, then only the distinct values are sorted.
+    pub fn cdf(&self) -> Vec<(f64, f64)> {
+        let mut time: BTreeMap<u64, f64> = BTreeMap::new();
+        for t in self.runs() {
+            for (state, dt) in t.time_per_state() {
+                *time.entry(self.gauge.of(&state).to_bits()).or_insert(-0.0) += dt.value();
+            }
         }
+        let mut weighted: Vec<(f64, f64)> = time
+            .into_iter()
+            .map(|(bits, w)| (f64::from_bits(bits), w))
+            .collect();
+        weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        cdf_steps(weighted)
     }
 
-    fn fold(&mut self, s: &Sample) {
-        self.count += 1;
-        self.min = self.min.min(s.v);
-        self.max = self.max.max(s.v);
-        self.sum += s.v;
-        self.mean = self.sum / self.count as f64;
+    /// Every segment as a sample, in canonical `(t, dur, v)` order.
+    pub fn samples(&self) -> Vec<Sample> {
+        let mut samples: Vec<Sample> = self
+            .runs()
+            .flat_map(|t| t.segments())
+            .map(|s| Sample {
+                t: s.start.value(),
+                dur: s.duration().value(),
+                v: self.gauge.of(&s.state()),
+            })
+            .collect();
+        samples.sort_by(canonical);
+        samples
     }
 }
 
@@ -476,21 +608,24 @@ impl QuantileTrack {
 /// counted).
 const STORE_NAME_CAPACITY: usize = 512;
 
+/// Whether `name` is one of the series the run table backs. Samples
+/// pushed under such a name are refused: the export lists each name once.
+fn is_run_backed(name: &str) -> bool {
+    name.starts_with("device.") || name.starts_with("occupancy.")
+}
+
 #[derive(Debug, Default)]
 struct StoreInner {
     series: BTreeMap<String, TimeSeries>,
     quantiles: BTreeMap<String, QuantileTrack>,
+    runs: RunTable,
     dropped_names: u64,
-    /// Emptied sample buffers (and keys) of the series dropped by the last
-    /// `reset`, taken back by the next series of the same name. Invisible
-    /// to every read.
-    spare: BTreeMap<String, Vec<Sample>>,
 }
 
-/// The process-wide home of every timeline: named series and quantile
-/// tracks behind one mutex (feeding happens post-run, never on an engine
-/// hot path). Owned by the [`Recorder`](crate::Recorder) so `reset()` and
-/// lifecycle match the rest of the observability state.
+/// The process-wide home of every timeline: the run table, named series
+/// and quantile tracks behind one mutex (feeding happens post-run, never
+/// on an engine hot path). Owned by the [`Recorder`](crate::Recorder) so
+/// `reset()` and lifecycle match the rest of the observability state.
 #[derive(Debug, Default)]
 pub struct TimelineStore {
     inner: Mutex<StoreInner>,
@@ -505,42 +640,43 @@ impl TimelineStore {
         f(&mut self.inner.lock().expect("timeline store poisoned"))
     }
 
+    /// Records one engine run into the run table: its mode, its makespan
+    /// in simulated seconds, and a copy of its telemetry. The copy is made
+    /// before the lock is taken.
+    pub fn record_run(&self, mode: &'static str, makespan: f64, telemetry: &Telemetry) {
+        let telemetry = telemetry.clone();
+        self.with_inner(|inner| inner.runs.record(mode, makespan, telemetry));
+    }
+
+    /// Runs `f` over the run table in content order. `f` runs under the
+    /// store's lock, so it must not call back into the store.
+    pub fn with_runs<R>(&self, f: impl FnOnce(&RunTable) -> R) -> R {
+        self.with_inner(|inner| {
+            inner.runs.sort();
+            f(&inner.runs)
+        })
+    }
+
     /// Records an instantaneous sample into the named series.
     pub fn series_push(&self, name: &str, t: f64, v: f64) {
         self.series_push_span(name, t, 0.0, v);
     }
 
     /// Records a span sample into the named series, creating it on first
-    /// use.
+    /// use. Samples for a name the run table backs are refused, counted in
+    /// [`TimelineStore::dropped_names`].
     pub fn series_push_span(&self, name: &str, t: f64, dur: f64, v: f64) {
-        self.series_extend(name, &[Sample { t, dur, v }]);
-    }
-
-    /// Records `samples` into the named series under one lock and one name
-    /// lookup, creating the series on first use. Equivalent to a loop of
-    /// [`TimelineStore::series_push_span`] over `samples`, drops and the
-    /// name cap included (an empty slice records nothing).
-    pub fn series_extend(&self, name: &str, samples: &[Sample]) {
-        if samples.is_empty() {
-            return;
-        }
         self.with_inner(|inner| {
             if let Some(series) = inner.series.get_mut(name) {
-                return series.extend(samples);
+                return series.push_span(t, dur, v);
             }
-            if inner.series.len() >= STORE_NAME_CAPACITY {
-                inner.dropped_names += samples.len() as u64;
+            if inner.series.len() >= STORE_NAME_CAPACITY || is_run_backed(name) {
+                inner.dropped_names += 1;
                 return;
             }
-            let (key, buffer) = inner
-                .spare
-                .remove_entry(name)
-                .unwrap_or_else(|| (name.to_string(), Vec::new()));
-            let series = TimeSeries {
-                samples: buffer,
-                ..TimeSeries::new()
-            };
-            inner.series.entry(key).or_insert(series).extend(samples);
+            let mut series = TimeSeries::new();
+            series.push_span(t, dur, v);
+            inner.series.insert(name.to_string(), series);
         });
     }
 
@@ -558,17 +694,15 @@ impl TimelineStore {
         });
     }
 
-    /// Runs `f` over the named series in place, or returns `None` if
-    /// absent. Reads sort the stored series canonically, and it stays
-    /// sorted until an out-of-order push. `f` runs under the store's lock,
-    /// so it must not call back into the store.
+    /// Runs `f` over the named sample series in place (run-backed series
+    /// are read through [`TimelineStore::with_runs`]), or returns `None` if
+    /// absent. `f` runs under the store's lock, as in `with_runs`.
     pub fn with_series<R>(&self, name: &str, f: impl FnOnce(&mut TimeSeries) -> R) -> Option<R> {
         self.with_inner(|inner| inner.series.get_mut(name).map(f))
     }
 
     /// Runs `f` over the named quantile track in place, or `None` if
-    /// absent. `f` runs under the store's lock, as in
-    /// [`TimelineStore::with_series`].
+    /// absent. `f` runs under the store's lock, as in `with_runs`.
     pub fn with_quantiles<R>(
         &self,
         name: &str,
@@ -577,7 +711,7 @@ impl TimelineStore {
         self.with_inner(|inner| inner.quantiles.get_mut(name).map(f))
     }
 
-    /// Names of all series, in canonical (BTreeMap) order.
+    /// Names of the sample series, in canonical (BTreeMap) order.
     pub fn series_names(&self) -> Vec<String> {
         self.with_inner(|inner| inner.series.keys().cloned().collect())
     }
@@ -587,60 +721,67 @@ impl TimelineStore {
         self.with_inner(|inner| inner.quantiles.keys().cloned().collect())
     }
 
-    /// Visits every series in name order with its samples in canonical
-    /// order, in place (for the Perfetto counter-track export). `f` runs
-    /// under the store's lock, as in [`TimelineStore::with_series`].
+    /// Visits every series the export lists, sample and run-backed alike,
+    /// in name order with its samples in canonical order (for the Perfetto
+    /// counter-track export). `f` runs under the store's lock, as in
+    /// `with_runs`.
     pub fn visit_series(&self, mut f: impl FnMut(&str, &[Sample])) {
         self.with_inner(|inner| {
-            for (name, series) in &mut inner.series {
-                f(name, series.samples());
+            inner.runs.sort();
+            let runs: Vec<_> = (inner.runs.named_series().into_iter())
+                .map(|(name, s)| (name, s.samples()))
+                .collect();
+            let stored = (inner.series.iter_mut()).map(|(name, s)| (name.as_str(), s.samples()));
+            let mut all: Vec<(&str, &[Sample])> =
+                (runs.iter().map(|(name, v)| (name.as_str(), &v[..])))
+                    .chain(stored)
+                    .collect();
+            all.sort_by_key(|&(name, _)| name);
+            for (name, samples) in all {
+                f(name, samples);
             }
         });
     }
 
-    /// Names silently refused because the store already held its capacity
-    /// of distinct series or tracks (`STORE_NAME_CAPACITY`).
+    /// Samples and observations refused by name: new names past the
+    /// store's capacity of distinct series or tracks
+    /// (`STORE_NAME_CAPACITY`), and samples for a run-backed name.
     pub fn dropped_names(&self) -> u64 {
         self.with_inner(|inner| inner.dropped_names)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.with_inner(|inner| inner.series.is_empty() && inner.quantiles.is_empty())
+        self.with_inner(|i| i.series.is_empty() && i.quantiles.is_empty() && i.runs.is_empty())
     }
 
-    /// Empties the store. What any read sees afterwards matches a fresh
-    /// store; only the series' sample buffers are kept, emptied, for the
-    /// next series of the same name.
+    /// Empties the store.
     pub fn reset(&self) {
-        self.with_inner(|inner| {
-            let spare = std::mem::take(&mut inner.series)
-                .into_iter()
-                .map(|(name, series)| {
-                    let mut buffer = series.samples;
-                    buffer.clear();
-                    (name, buffer)
-                })
-                .collect();
-            *inner = StoreInner {
-                spare,
-                ..StoreInner::default()
-            };
-        });
+        self.with_inner(|inner| *inner = StoreInner::default());
     }
 
     /// The full timeline export: every series (canonical sample order,
     /// integral, time-weighted mean, CDF) and every quantile track
     /// (count, p50/p90/p99/p999, full CDF). Deterministic: a pure
-    /// function of the observation multisets, byte-identical across
-    /// serial and parallel runs (`make check`'s trace-smoke gate pins
-    /// this).
+    /// function of the observation and run multisets, byte-identical
+    /// across serial and parallel runs (`make check`'s trace-smoke gate
+    /// pins this).
     pub fn to_json(&self) -> Value {
         self.with_inner(|inner| {
-            let series = inner
-                .series
-                .iter_mut()
-                .map(|(name, s)| (name.clone(), series_json(s)))
+            inner.runs.sort();
+            let mut series: Vec<(String, Value)> = (inner.series.iter_mut())
+                .map(|(name, s)| {
+                    let (covered, integral, cdf, dropped) =
+                        (s.covered(), s.integral(), s.cdf(), s.dropped());
+                    let json = series_json(s.samples(), dropped, covered, integral, &cdf);
+                    (name.clone(), json)
+                })
                 .collect();
+            series.extend(inner.runs.named_series().into_iter().map(|(name, s)| {
+                let (covered, integral) = (s.covered(), s.integral());
+                let json = series_json(&s.samples(), s.dropped(), covered, integral, &s.cdf());
+                (name, json)
+            }));
+            series.sort_by(|a, b| a.0.cmp(&b.0));
             let quantiles = inner
                 .quantiles
                 .iter_mut()
@@ -671,35 +812,33 @@ fn opt_f64(v: Option<f64>) -> Value {
     }
 }
 
-fn series_json(s: &mut TimeSeries) -> Value {
-    let samples = Value::Array(
-        s.samples()
-            .iter()
-            .map(|smp| {
-                Value::Array(vec![
-                    Value::F64(smp.t),
-                    Value::F64(smp.dur),
-                    Value::F64(smp.v),
-                ])
-            })
-            .collect(),
-    );
-    let span = match s.span() {
-        Some((a, b)) => Value::Array(vec![Value::F64(a), Value::F64(b)]),
+fn series_json(
+    samples: &[Sample],
+    dropped: u64,
+    covered: f64,
+    integral: f64,
+    cdf: &[(f64, f64)],
+) -> Value {
+    let span = match samples.first() {
+        Some(first) => {
+            let end = (samples.iter().map(|s| s.t + s.dur)).fold(f64::NEG_INFINITY, f64::max);
+            Value::Array(vec![Value::F64(first.t), Value::F64(end)])
+        }
         None => Value::Null,
     };
+    let samples = samples
+        .iter()
+        .map(|s| Value::Array(vec![Value::F64(s.t), Value::F64(s.dur), Value::F64(s.v)]));
+    let mean = (covered > 0.0).then(|| integral / covered);
     Value::Object(vec![
-        ("count".to_string(), Value::U64(s.len() as u64)),
-        ("dropped".to_string(), Value::U64(s.dropped())),
+        ("count".to_string(), Value::U64(samples.len() as u64)),
+        ("dropped".to_string(), Value::U64(dropped)),
         ("span".to_string(), span),
-        ("covered_s".to_string(), Value::F64(s.covered())),
-        ("integral".to_string(), Value::F64(s.integral())),
-        (
-            "time_weighted_mean".to_string(),
-            opt_f64(s.time_weighted_mean()),
-        ),
-        ("cdf".to_string(), pairs_json(&s.cdf())),
-        ("samples".to_string(), samples),
+        ("covered_s".to_string(), Value::F64(covered)),
+        ("integral".to_string(), Value::F64(integral)),
+        ("time_weighted_mean".to_string(), opt_f64(mean)),
+        ("cdf".to_string(), pairs_json(cdf)),
+        ("samples".to_string(), Value::Array(samples.collect())),
     ])
 }
 
@@ -747,9 +886,6 @@ mod tests {
         s.push_span(3.0, 2.0, 0.0);
         assert_eq!(s.covered(), 5.0);
         assert_eq!(s.integral(), 2.0);
-        assert_eq!(s.time_weighted_mean(), Some(0.4));
-        assert_eq!(s.span(), Some((0.0, 5.0)));
-        assert_eq!(s.stranded(1.0), 3.0);
     }
 
     #[test]
@@ -766,7 +902,7 @@ mod tests {
             for smp in order {
                 s.push_span(smp.t, smp.dur, smp.v);
             }
-            (s.samples().to_vec(), s.integral(), s.cdf(), s.rollup(5.0))
+            (s.samples().to_vec(), s.integral(), s.cdf())
         };
         let reference = build(&samples);
         for seed in 1..8u64 {
@@ -777,32 +913,14 @@ mod tests {
     #[test]
     fn series_rejects_non_finite_and_counts_drops() {
         let mut s = TimeSeries::new();
-        s.push(f64::NAN, 1.0);
-        s.push(1.0, f64::INFINITY);
+        s.push_span(f64::NAN, 0.0, 1.0);
+        s.push_span(1.0, 0.0, f64::INFINITY);
         s.push_span(0.0, -1.0, 0.5);
         s.push_span(0.0, f64::NAN, 0.5);
         assert!(s.is_empty());
         assert_eq!(s.dropped(), 4);
-        s.push(1.0, 2.0);
+        s.push_span(1.0, 0.0, 2.0);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn rollups_fold_per_window() {
-        let mut s = TimeSeries::new();
-        s.push(1.0, 2.0);
-        s.push(2.0, 4.0);
-        s.push(15.0, 10.0);
-        let windows = s.rollup(10.0);
-        assert_eq!(windows.len(), 2);
-        assert_eq!(windows[0].start, 0.0);
-        assert_eq!(windows[0].count, 2);
-        assert_eq!(windows[0].min, 2.0);
-        assert_eq!(windows[0].max, 4.0);
-        assert_eq!(windows[0].sum, 6.0);
-        assert_eq!(windows[0].mean, 3.0);
-        assert_eq!(windows[1].start, 10.0);
-        assert_eq!(windows[1].count, 1);
     }
 
     #[test]
@@ -905,8 +1023,11 @@ mod tests {
         let build = |seed: u64| {
             let store = TimelineStore::new();
             for (t, v) in shuffled(&entries, seed) {
-                store.series_push_span(series::DEVICE_SM_UTIL, t, 1.0, v / 50.0);
+                store.series_push_span("util", t, 1.0, v / 50.0);
                 store.quantile_observe(series::SCHED_TURNAROUND, v);
+            }
+            for (mode, makespan, telemetry) in shuffled(&messy_runs(0, 20), seed) {
+                store.record_run(mode, makespan, &telemetry);
             }
             serde_json::to_string(&store.to_json()).unwrap()
         };
@@ -916,6 +1037,7 @@ mod tests {
         }
         assert!(reference.contains("\"p99\""));
         assert!(reference.contains(series::DEVICE_SM_UTIL));
+        assert!(reference.contains("occupancy.mps"));
     }
 
     #[test]
@@ -979,104 +1101,25 @@ mod tests {
             .collect()
     }
 
-    /// A series' raw state: samples by bit pattern, sorted flag, drops.
-    type RawSeries = (Vec<[u64; 3]>, bool, u64);
-
-    fn raw_bits(s: &TimeSeries) -> RawSeries {
-        let samples = s
-            .samples
-            .iter()
-            .map(|x| [x.t.to_bits(), x.dur.to_bits(), x.v.to_bits()])
-            .collect();
-        (samples, s.sorted, s.dropped)
-    }
-
-    fn store_bits(store: &TimelineStore) -> (Vec<(String, RawSeries)>, u64) {
-        store.with_inner(|inner| {
-            let series = inner
-                .series
-                .iter()
-                .map(|(name, s)| (name.clone(), raw_bits(s)))
-                .collect();
-            (series, inner.dropped_names)
-        })
-    }
-
     fn export(store: &TimelineStore) -> String {
         serde_json::to_string(&store.to_json()).unwrap()
-    }
-
-    #[test]
-    fn extend_matches_a_loop_of_push_span() {
-        for seed in 0..300u64 {
-            let (mut looped, mut batched) = (TimeSeries::new(), TimeSeries::new());
-            if seed % 60 == 0 {
-                // An over-capacity tail: the next batches cross the cap.
-                let fill = vec![
-                    Sample {
-                        t: 9.0,
-                        dur: 1.0,
-                        v: 0.5
-                    };
-                    SERIES_CAPACITY - 7
-                ];
-                for s in &fill {
-                    looped.push_span(s.t, s.dur, s.v);
-                }
-                batched.extend(&fill);
-            }
-            for batch in 0..4 {
-                let len = (mix(seed * 4 + batch) % 24) as usize;
-                let samples = messy_samples(seed * 4 + batch, len);
-                for s in &samples {
-                    looped.push_span(s.t, s.dur, s.v);
-                }
-                batched.extend(&samples);
-                assert_eq!(raw_bits(&batched), raw_bits(&looped), "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn store_extend_matches_pushes_under_the_name_cap() {
-        let (looped, batched) = (TimelineStore::new(), TimelineStore::new());
-        for i in 0..STORE_NAME_CAPACITY - 2 {
-            looped.series_push(&format!("s{i}"), 0.0, 1.0);
-            batched.series_push(&format!("s{i}"), 0.0, 1.0);
-        }
-        // Two new names fit, then the cap refuses every further sample of
-        // a new name; existing names keep recording.
-        for (k, name) in ["new", "s0", "empty", "full", "over", "s1", "new"]
-            .into_iter()
-            .enumerate()
-        {
-            let samples = match name {
-                "empty" => Vec::new(),
-                _ => messy_samples(k as u64, 5 + k),
-            };
-            for s in &samples {
-                looped.series_push_span(name, s.t, s.dur, s.v);
-            }
-            batched.series_extend(name, &samples);
-            assert_eq!(store_bits(&batched), store_bits(&looped), "after {name}");
-        }
-        assert!(batched.dropped_names() > 0);
-        assert!(!batched.series_names().contains(&"empty".to_string()));
-        assert_eq!(export(&batched), export(&looped));
     }
 
     #[test]
     fn reading_mid_way_leaves_the_export_unchanged() {
         let (read, unread) = (TimelineStore::new(), TimelineStore::new());
         for (i, s) in messy_samples(11, 400).iter().enumerate() {
+            let (mode, makespan, telemetry) = messy_run(i as u64);
             for store in [&read, &unread] {
+                store.record_run(mode, makespan, &telemetry);
                 store.series_push_span("util", s.t, s.dur, s.v);
                 store.series_push("point", s.t, s.v);
                 store.quantile_observe("lat", s.v);
             }
             if i % 90 == 45 {
                 read.with_series("util", |s| s.cdf());
-                read.with_series("point", |s| s.rollup(1.0));
+                read.with_series("point", |s| s.cdf());
+                read.with_runs(|runs| runs.series(Gauge::SmUtil, None).cdf());
                 read.with_quantiles("lat", |q| q.p99());
                 read.visit_series(|_, _| {});
             }
@@ -1088,6 +1131,8 @@ mod tests {
     fn reset_store_reads_like_a_fresh_one() {
         let record = |store: &TimelineStore, names: &[&str]| {
             for (k, name) in names.iter().enumerate() {
+                let (mode, makespan, telemetry) = messy_run(k as u64);
+                store.record_run(mode, makespan, &telemetry);
                 for s in messy_samples(k as u64, 50) {
                     store.series_push_span(name, s.t, s.dur, s.v);
                     store.quantile_observe(&format!("{name}.q"), s.v);
@@ -1103,8 +1148,6 @@ mod tests {
         assert_eq!(store.quantile_names(), fresh.quantile_names());
         assert!(store.is_empty());
         assert_eq!(export(&store), export(&fresh));
-        // A kept buffer is taken only by its own name, and the names it
-        // was not taken by stay invisible.
         record(&store, &["b", "d"]);
         record(&fresh, &["b", "d"]);
         assert_eq!(store.series_names(), fresh.series_names());
@@ -1112,5 +1155,247 @@ mod tests {
         store.reset();
         record(&store, &["a", "b", "c"]);
         assert_eq!(export(&store), first);
+    }
+
+    use mpshare_gpusim::Segment;
+    use mpshare_types::{Power, Seconds};
+
+    const MODES: [&str; 3] = ["mps", "streams", "time-sliced"];
+
+    /// A run drawn to hit the folds' edge cases: signed zeros, states that
+    /// recur across runs and within one, empty runs, zero-length segments
+    /// (the telemetry drops them), non-finite utilizations and an infinite
+    /// end (the run table drops and counts them).
+    fn messy_run(seed: u64) -> (&'static str, f64, Telemetry) {
+        const DURS: [f64; 5] = [0.0, 0.25, 0.5, 1.0, 3.0];
+        const UTILS: [f64; 8] = [-0.0, 0.0, 0.25, 0.5, 1.0, 1.0 / 3.0, 0.1, 0.7];
+        const WATTS: [f64; 3] = [50.0, 75.5, 250.0];
+        let draw = |i: u64, lane: u64, n: u64| (mix(seed ^ mix(i * 7 + lane)) % n) as usize;
+        let mut telemetry = Telemetry::new();
+        let mut t = 0.0;
+        for i in 0..draw(0, 0, 12) as u64 {
+            let end = match draw(i, 1, 40) {
+                0 => f64::INFINITY,
+                _ => t + DURS[draw(i, 2, 5)],
+            };
+            let util = |lane| match draw(i, lane, 50) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                k => UTILS[k % UTILS.len()],
+            };
+            telemetry.record(Segment {
+                start: Seconds::new(t),
+                end: Seconds::new(end),
+                sm_util: util(3),
+                bw_util: util(4),
+                power: Power::from_watts(WATTS[draw(i, 5, 3)]),
+                clock_factor: 1.0,
+                capped: draw(i, 6, 4) == 0,
+                active_clients: draw(i, 7, 3),
+            });
+            if !end.is_finite() {
+                break;
+            }
+            t = end;
+        }
+        (MODES[draw(0, 8, 3)], t, telemetry)
+    }
+
+    fn messy_runs(seed: u64, n: u64) -> Vec<(&'static str, f64, Telemetry)> {
+        (0..n).map(|i| messy_run(mix(seed) ^ i)).collect()
+    }
+
+    /// Every series a run table backs: each gauge over all runs and over
+    /// each mode.
+    fn scopes() -> Vec<(Gauge, Option<&'static str>)> {
+        let mut out = Vec::new();
+        for gauge in [Gauge::SmUtil, Gauge::BwUtil, Gauge::PowerW] {
+            out.push((gauge, None));
+            out.extend(MODES.map(|m| (gauge, Some(m))));
+        }
+        out
+    }
+
+    /// Every fold of every scope, by bit pattern.
+    fn fold_bits(store: &TimelineStore) -> Vec<u64> {
+        store.with_runs(|runs| {
+            let mut bits = vec![runs.makespan().to_bits()];
+            for (gauge, mode) in scopes() {
+                let s = runs.series(gauge, mode);
+                bits.extend([s.samples().len() as u64, s.dropped()]);
+                bits.extend([s.covered(), s.integral(), s.stranded(1.0)].map(f64::to_bits));
+                bits.push(s.time_weighted_mean().map_or(u64::MAX, f64::to_bits));
+                for (v, frac) in s.cdf() {
+                    bits.extend([v.to_bits(), frac.to_bits()]);
+                }
+            }
+            bits
+        })
+    }
+
+    #[test]
+    fn run_folds_are_bitwise_invariant_under_insertion_order() {
+        for seed in 0..12u64 {
+            let runs = messy_runs(seed, 40);
+            let record = |order: &[(&'static str, f64, Telemetry)]| {
+                let store = TimelineStore::new();
+                for (mode, makespan, telemetry) in order {
+                    store.record_run(mode, *makespan, telemetry);
+                }
+                (fold_bits(&store), export(&store))
+            };
+            let reference = record(&runs);
+            for perm in 1..6 {
+                let order = shuffled(&runs, seed * 100 + perm);
+                assert!(
+                    record(&order) == reference,
+                    "seed {seed} permutation {perm}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_folds_agree_with_the_sorted_sample_fold() {
+        // Two orders of the same n positive terms differ by at most
+        // 2(n−1)ε relative (ε = 2⁻⁵³); a mean or CDF fraction divides two
+        // such sums. 8nε bounds every comparison below.
+        const EPS: f64 = f64::EPSILON / 2.0;
+        let close =
+            |a: f64, b: f64, n: usize| (a - b).abs() <= 8.0 * n as f64 * EPS * a.abs().max(b.abs());
+        for seed in 0..12u64 {
+            let runs = messy_runs(seed, 40);
+            let store = TimelineStore::new();
+            for (mode, makespan, telemetry) in &runs {
+                store.record_run(mode, *makespan, telemetry);
+            }
+            for (gauge, mode) in scopes() {
+                // The old fold over the runs the table keeps (every field
+                // finite): one sample per segment, sorted on read.
+                let (mut old, mut dropped) = (TimeSeries::new(), 0);
+                for (_, _, telemetry) in runs.iter().filter(|r| mode.is_none_or(|m| m == r.0)) {
+                    let finite = |s: &Segment| {
+                        s.end.is_finite() && s.sm_util.is_finite() && s.bw_util.is_finite()
+                    };
+                    if !telemetry.segments().all(|s| finite(&s)) {
+                        dropped += telemetry.len() as u64;
+                        continue;
+                    }
+                    for seg in telemetry.segments() {
+                        let v = gauge.of(&seg.state());
+                        old.push_span(seg.start.value(), seg.duration().value(), v);
+                    }
+                }
+                let n = old.len().max(1);
+                let old_stranded: f64 = old
+                    .samples()
+                    .iter()
+                    .map(|s| (1.0 - s.v).max(0.0) * s.dur)
+                    .sum();
+                let (old_cdf, old_samples) = (old.cdf(), old.samples().to_vec());
+                store.with_runs(|table| {
+                    let new = table.series(gauge, mode);
+                    let at = format!("seed {seed} {gauge:?} {mode:?}");
+                    assert_eq!(new.dropped(), dropped, "{at}");
+                    assert_eq!(new.samples(), old_samples, "{at}");
+                    assert!(close(new.covered(), old.covered(), n), "{at}");
+                    assert!(close(new.integral(), old.integral(), n), "{at}");
+                    assert!(close(new.stranded(1.0), old_stranded, n), "{at}");
+                    let new_cdf = new.cdf();
+                    let values =
+                        |cdf: &[(f64, f64)]| cdf.iter().map(|c| c.0.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(values(&new_cdf), values(&old_cdf), "{at}");
+                    for (a, b) in new_cdf.iter().zip(&old_cdf) {
+                        assert!(close(a.1, b.1, n), "{at}: {a:?} vs {b:?}");
+                    }
+                    assert_eq!(
+                        new_cdf.last().map(|c| c.1),
+                        old_cdf.last().map(|_| 1.0),
+                        "{at}"
+                    );
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zeros_collapse_to_one_cdf_step_and_empty_runs_add_only_makespan() {
+        let run = |sm: f64, secs: f64| {
+            let mut t = Telemetry::new();
+            t.record(Segment {
+                start: Seconds::ZERO,
+                end: Seconds::new(secs),
+                sm_util: sm,
+                bw_util: 0.0,
+                power: Power::from_watts(50.0),
+                clock_factor: 1.0,
+                capped: false,
+                active_clients: 0,
+            });
+            t
+        };
+        let store = TimelineStore::new();
+        store.record_run("mps", 1.0, &run(0.0, 1.0));
+        store.record_run("mps", 3.0, &run(-0.0, 3.0));
+        store.record_run("mps", 4.0, &run(1.0, 4.0));
+        store.record_run("streams", 2.5, &Telemetry::new());
+        store.with_runs(|runs| {
+            assert_eq!(runs.makespan(), 10.5);
+            let sm = runs.series(Gauge::SmUtil, None);
+            let cdf = sm.cdf();
+            assert_eq!(cdf, vec![(-0.0, 0.5), (1.0, 1.0)]);
+            assert!(
+                cdf[0].0.is_sign_negative(),
+                "the first of equal values names the step"
+            );
+            assert_eq!((sm.covered(), sm.stranded(1.0)), (8.0, 4.0));
+            assert!(runs.series(Gauge::SmUtil, Some("streams")).is_empty());
+        });
+        // The empty run creates no series: only the mode with segments has
+        // an occupancy series.
+        let json = export(&store);
+        assert!(json.contains("occupancy.mps") && !json.contains("occupancy.streams"));
+    }
+
+    #[test]
+    fn runs_past_the_segment_cap_are_dropped_whole_and_counted() {
+        let run = |segments: usize| {
+            let mut t = Telemetry::new();
+            for i in 0..segments {
+                t.record(Segment {
+                    start: Seconds::new(i as f64),
+                    end: Seconds::new(i as f64 + 1.0),
+                    sm_util: 0.5,
+                    bw_util: 0.25,
+                    power: Power::from_watts(100.0),
+                    clock_factor: 1.0,
+                    capped: false,
+                    active_clients: 1,
+                });
+            }
+            t
+        };
+        let store = TimelineStore::new();
+        store.record_run("mps", 1.0, &run(SERIES_CAPACITY - 5));
+        store.record_run("streams", 1.0, &run(10));
+        store.record_run("mps", 1.0, &run(5));
+        store.with_runs(|runs| {
+            let all = runs.series(Gauge::SmUtil, None);
+            assert_eq!((all.samples().len(), all.dropped()), (SERIES_CAPACITY, 10));
+            let streams = runs.series(Gauge::SmUtil, Some("streams"));
+            assert!(streams.is_empty() && streams.dropped() == 10);
+            assert_eq!(runs.series(Gauge::BwUtil, Some("mps")).dropped(), 0);
+        });
+        // A mode whose every segment was dropped still lists its series.
+        assert!(export(&store).contains("occupancy.streams"));
+    }
+
+    #[test]
+    fn sample_pushes_to_run_backed_names_are_refused() {
+        let store = TimelineStore::new();
+        store.series_push_span(series::DEVICE_SM_UTIL, 0.0, 1.0, 0.5);
+        store.series_push(&series::occupancy("mps"), 1.0, 0.5);
+        assert!(store.is_empty());
+        assert_eq!(store.dropped_names(), 2);
     }
 }

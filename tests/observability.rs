@@ -203,16 +203,14 @@ fn recording_is_invisible_to_results_and_covers_all_tracks() {
     }
 }
 
-/// `report::generate` resets the recorder before recording, and the reset
-/// keeps the timeline store's sample buffers for reuse: a report recorded
-/// into those kept buffers must match the one recorded before it, byte for
-/// byte, dashboard and timeline export alike.
+/// `report::generate` resets the recorder before recording: a report
+/// recorded again, with the worker pool or serially, must match the one
+/// before it byte for byte, dashboard and timeline export alike.
 #[test]
 fn re_recorded_report_is_byte_identical() {
     let _guard = recorder_lock();
-    // Serial: parallel gauge sums run in thread order (ROADMAP item 3(a)).
-    mpshare::par::set_serial(true);
-    let record = || {
+    let record = |serial: bool| {
+        mpshare::par::set_serial(serial);
         let report = mpshare::harness::report::generate(&device()).unwrap();
         let timeline = serde_json::to_string(&obs::timelines().to_json()).unwrap();
         (
@@ -223,13 +221,113 @@ fn re_recorded_report_is_byte_identical() {
     };
     // The first report also fills the profile cache, which leaves later
     // reports' profiling runs out of the recording (ROADMAP item 3(b)).
-    record();
-    let warm = record();
-    let again = record();
+    record(false);
+    let parallel = record(false);
+    let serial = record(true);
+    let again = record(false);
     obs::set_enabled(false);
     obs::recorder().reset();
     mpshare::par::set_serial(false);
-    assert!(warm == again, "re-recorded report differs");
+    assert!(parallel == serial, "parallel report differs from serial");
+    assert!(parallel == again, "re-recorded report differs");
+}
+
+/// The run-backed device series against the sorted-sample fold they
+/// replace, on real engine runs under four mechanisms: the export's
+/// samples are byte-identical to one sample per telemetry segment, the
+/// CDF has the same values, the sums agree to n·ε, and recording the
+/// same runs in any order exports the same bytes.
+#[test]
+fn run_table_folds_match_the_sample_fold_on_engine_runs() {
+    let _guard = recorder_lock();
+    let d = device();
+    let mut ids = IdAllocator::new();
+    let programs: Vec<ClientProgram> = queue()
+        .iter()
+        .map(|w| w.to_client_program(&d, &mut ids).unwrap())
+        .collect();
+    obs::set_enabled(true);
+    obs::recorder().reset();
+    let runner = GpuRunner::new(d);
+    let runs: Vec<(&'static str, RunResult)> = [
+        ("sequential", GpuSharing::Sequential),
+        (
+            "time-sliced",
+            GpuSharing::TimeSliced(mpshare::mps::TimeSliceConfig::driver_default()),
+        ),
+        ("mps", GpuSharing::mps_default(programs.len())),
+        ("streams", GpuSharing::Streams),
+    ]
+    .map(|(mode, sharing)| (mode, runner.run(&sharing, programs.clone()).unwrap()))
+    .into();
+    let export = obs::timelines().to_json();
+    obs::set_enabled(false);
+    obs::recorder().reset();
+
+    const EPS: f64 = f64::EPSILON / 2.0; // 2⁻⁵³
+    type Value = fn(&mpshare::gpusim::Segment) -> f64;
+    let gauges: [(&str, Value); 3] = [
+        (obs::series::DEVICE_SM_UTIL, |s| s.sm_util),
+        (obs::series::DEVICE_BW_UTIL, |s| s.bw_util),
+        (obs::series::DEVICE_POWER_W, |s| s.power.watts()),
+    ];
+    let mut scopes: Vec<(String, Value, Option<&str>)> = gauges
+        .iter()
+        .map(|&(name, value)| (name.to_string(), value, None))
+        .collect();
+    for (mode, _) in &runs {
+        scopes.push((obs::series::occupancy(mode), gauges[0].1, Some(*mode)));
+    }
+    for (name, value, mode) in scopes {
+        let mut old = obs::TimeSeries::new();
+        for (_, result) in runs.iter().filter(|r| mode.is_none_or(|m| m == r.0)) {
+            for s in result.telemetry.segments() {
+                old.push_span(s.start.value(), s.duration().value(), value(&s));
+            }
+        }
+        let got = export["series"].get(&name).unwrap();
+        let samples: Vec<[f64; 3]> = old.samples().iter().map(|s| [s.t, s.dur, s.v]).collect();
+        assert_eq!(
+            serde_json::to_string(&got["samples"]).unwrap(),
+            serde_json::to_string(&samples).unwrap(),
+            "{name}: samples"
+        );
+        let tol = 8.0 * old.len() as f64 * EPS;
+        let close = |a: f64, b: f64| (a - b).abs() <= tol * a.abs().max(b.abs());
+        assert!(
+            close(got["covered_s"].as_f64().unwrap(), old.covered()),
+            "{name}"
+        );
+        assert!(
+            close(got["integral"].as_f64().unwrap(), old.integral()),
+            "{name}"
+        );
+        let cdf: Vec<(f64, f64)> = got["cdf"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|p| (p[0].as_f64().unwrap(), p[1].as_f64().unwrap()))
+            .collect();
+        let old_cdf = old.cdf();
+        let values = |c: &[(f64, f64)]| c.iter().map(|p| p.0.to_bits()).collect::<Vec<_>>();
+        assert_eq!(values(&cdf), values(&old_cdf), "{name}: cdf values");
+        for (a, b) in cdf.iter().zip(&old_cdf) {
+            assert!(close(a.1, b.1), "{name}: {a:?} vs {b:?}");
+        }
+    }
+
+    let export_in = |order: &[usize]| {
+        let store = obs::TimelineStore::new();
+        for &i in order {
+            let (mode, result) = &runs[i];
+            store.record_run(mode, result.makespan.value(), &result.telemetry);
+        }
+        serde_json::to_string(&store.to_json()).unwrap()
+    };
+    let reference = export_in(&[0, 1, 2, 3]);
+    for order in [[3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]] {
+        assert_eq!(export_in(&order), reference, "insertion order {order:?}");
+    }
 }
 
 #[test]
